@@ -123,24 +123,13 @@ void emit_paths(std::FILE* out, const std::vector<PathResult>& paths) {
     }
 }
 
-/// Kernel kinds compiled into this binary and runnable on this CPU.
-std::vector<bulk::KernelKind> runnable(const std::vector<bulk::KernelKind>& ks) {
-    std::vector<bulk::KernelKind> out;
-    const bulk::CpuFeatures cpu = bulk::detect_cpu();
-    for (const auto k : ks) {
-        if (bulk::kernel_supported(k, cpu)) {
-            out.push_back(k);
-        }
-    }
-    return out;
-}
-
 }  // namespace
 }  // namespace gfr
 
 int main(int argc, char** argv) {
     using namespace gfr;
     const char* out_path = argc > 1 ? argv[1] : "BENCH_6.json";
+    const bulk::CpuFeatures cpu = bulk::detect_cpu();
 
     std::printf("== bulk region kernel throughput (1 thread) ==\n");
 
@@ -181,7 +170,8 @@ int main(int argc, char** argv) {
     std::vector<PathResult> enc8_paths;
     double dispatched8_speedup = 0;
     std::string dispatched8_kernel;
-    for (const auto kind : runnable(bulk::compiled_byte_kernels())) {
+    for (const bulk::ByteKernel* k : guard::runnable(bulk::byte_ladder(), cpu)) {
+        const auto kind = k->kind;
         const bulk::RegionEngine eng{f8.ops(), kind};
         const auto prep = eng.prepare(c8);
         std::vector<std::uint8_t> acc(kSymbols, 0);
@@ -226,7 +216,8 @@ int main(int argc, char** argv) {
     });
     const double base8_scale_sps = static_cast<double>(kSymbols) / base8_scale_secs;
     eng8_scalar.mul_region(prep8_scalar, src8, ref8);
-    for (const auto kind : runnable(bulk::compiled_byte_kernels())) {
+    for (const bulk::ByteKernel* k : guard::runnable(bulk::byte_ladder(), cpu)) {
+        const auto kind = k->kind;
         const bulk::RegionEngine eng{f8.ops(), kind};
         const auto prep = eng.prepare(c8);
         std::vector<std::uint8_t> out(kSymbols, 0);
@@ -370,7 +361,11 @@ int main(int argc, char** argv) {
     eng64_scalar.addmul_region(prep64_scalar, src64w, ref64);
 
     std::vector<PathResult> enc64_paths;
-    for (const auto kind : runnable(bulk::compiled_word_kernels())) {
+    std::vector<bulk::KernelKind> kinds64{bulk::KernelKind::Scalar};  // window walk
+    for (const bulk::WordKernel* k : guard::runnable(bulk::word_ladder(), cpu)) {
+        kinds64.push_back(k->kind);
+    }
+    for (const auto kind : kinds64) {
         const bulk::RegionEngine eng{f64.ops(), kind};
         const auto prep = eng.prepare(c64);
         std::vector<std::uint64_t> acc(kSymbols, 0);

@@ -255,18 +255,6 @@ netlist::Netlist faulted_clone(const netlist::Netlist& good, std::size_t index,
         });
 }
 
-/// Tape backends this build + CPU can execute, scalar first.
-std::vector<exec::Backend> runnable_backends() {
-    std::vector<exec::Backend> out;
-    const auto cpu = bulk::detect_cpu();
-    for (const exec::Backend b : exec::compiled_tape_backends()) {
-        if (exec::backend_supported(b, cpu)) {
-            out.push_back(b);
-        }
-    }
-    return out;
-}
-
 struct LadderSpec {
     const netlist::Netlist* good = nullptr;
     const netlist::Netlist* bad = nullptr;
@@ -283,7 +271,9 @@ struct LadderSpec {
 std::vector<ThroughputPoint> run_ladder(const LadderSpec& spec,
                                         const std::string& want_repro) {
     std::vector<ThroughputPoint> points;
-    for (const exec::Backend backend : runnable_backends()) {
+    for (const exec::TapeKernel* k :
+         guard::runnable(exec::tape_ladder(), bulk::detect_cpu())) {
+        const exec::Backend backend = k->backend;
         for (const int width : {1, 4, 8, 16}) {
             mult::VerifyOptions opts = spec.base_opts;
             opts.threads = 1;

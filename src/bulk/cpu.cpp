@@ -43,7 +43,7 @@ CpuFeatures detect_cpu() noexcept {
         // shuffles, XOR), so it is only usable when both are present.
         f.vpclmulqdq = f.avx2 && f.pclmul && (c & (1U << 10)) != 0;
         // GFNI exists in SSE-only parts (some Atoms), but our kernel uses
-        // the VEX 256-bit form, so usability is gated in kernel_supported
+        // the VEX 256-bit form, so usability is gated by its rung predicate
         // (gfni && avx2) rather than here — report the raw CPU bit.
         f.gfni = (c & (1U << 8)) != 0;
         // AVX-512 needs the OS to save opmask + ZMM state on top of the

@@ -1,6 +1,7 @@
-// Kernel selection: the pure policy (make_dispatch) plus the process-wide
-// singleton that binds it to the detected CPU and the GFR_BULK_FORCE_SCALAR
-// environment knob.
+// Kernel selection: the byte and word rung tables, the pure policy
+// (make_dispatch) that picks from them, and the process-wide singleton that
+// binds it to the detected CPU and the GFR_BULK_FORCE_SCALAR environment
+// knob, screened through the guard quarantine ladder before first use.
 
 #include "bulk/kernels.h"
 
@@ -10,13 +11,8 @@
 
 namespace gfr::bulk {
 
-// Every switch over KernelKind in this file is exhaustive *without* a
-// default and without a fall-through return after the switch: a new
-// enumerator fails to compile (-Werror=switch on the library target) until
-// each table below names it.  The old trailing `return "?"` / `return
-// nullptr` style let an unlisted kind silently dispatch nothing — exactly
-// the latent bug wiring GFNI in would have tripped.
-
+// Default-free switch: a new enumerator fails to compile (-Werror=switch on
+// the library target) until it is named here.
 const char* kernel_name(KernelKind kind) noexcept {
     switch (kind) {
         case KernelKind::Scalar: return "scalar";
@@ -28,139 +24,56 @@ const char* kernel_name(KernelKind kind) noexcept {
     __builtin_unreachable();
 }
 
+const guard::Ladder<ByteKernel>& byte_ladder() noexcept {
+    // Best first: GFNI does one affine transform where the shuffle kernels
+    // do two lookups + XOR.  Our GFNI kernel is the VEX 256-bit form plus
+    // AVX2 XORs for addmul, so the raw GFNI bit alone (SSE-only Atom parts)
+    // is not enough — those fall back to SSSE3.
+    static const guard::Rung<ByteKernel> rungs[] = {
+        {"gfni", gfni_byte_kernel(),
+         [](const CpuFeatures& f) { return f.gfni && f.avx2; }},
+        {"avx2", avx2_byte_kernel(), [](const CpuFeatures& f) { return f.avx2; }},
+        {"ssse3", ssse3_byte_kernel(),
+         [](const CpuFeatures& f) { return f.ssse3; }},
+    };
+    static const guard::Ladder<ByteKernel> ladder{"", rungs, &kByteScalar,
+                                                  guard::selftest_byte_kernel};
+    return ladder;
+}
+
+const guard::Ladder<WordKernel>& word_ladder() noexcept {
+    // The wide kernel also issues AVX2 integer ops and the 128-bit PCLMULQDQ
+    // scalar helper, so it requires the full triple — not just the
+    // VPCLMULQDQ bit (detect_cpu couples them today, but this predicate is
+    // the policy the tests pin for *any* feature combination).
+    static const guard::Rung<WordKernel> rungs[] = {
+        {"vpclmul", vpclmul_word_kernel(),
+         [](const CpuFeatures& f) { return f.vpclmulqdq && f.avx2 && f.pclmul; }},
+    };
+    static const guard::Ladder<WordKernel> ladder{"", rungs, nullptr,
+                                                  guard::selftest_word_kernel};
+    return ladder;
+}
+
 bool kernel_supported(KernelKind kind, const CpuFeatures& f) noexcept {
-    switch (kind) {
-        case KernelKind::Scalar: return true;
-        case KernelKind::Ssse3: return f.ssse3;
-        case KernelKind::Avx2: return f.avx2;
-        case KernelKind::Vpclmul:
-            // The wide kernel also issues AVX2 integer ops and the 128-bit
-            // PCLMULQDQ scalar helper, so require the full triple — not
-            // just the VPCLMULQDQ bit (detect_cpu couples them today, but
-            // this predicate is the policy the tests pin for *any*
-            // feature combination).
-            return f.vpclmulqdq && f.avx2 && f.pclmul;
-        case KernelKind::Gfni:
-            // Our GFNI kernel is the VEX 256-bit form plus AVX2 XORs for
-            // addmul, so the raw GFNI bit alone (SSE-only Atom parts) is
-            // not enough — those fall back to SSSE3.
-            return f.gfni && f.avx2;
-    }
-    __builtin_unreachable();
-}
-
-std::vector<KernelKind> compiled_byte_kernels() {
-    std::vector<KernelKind> kinds{KernelKind::Scalar};
-    if (ssse3_byte_kernel() != nullptr) {
-        kinds.push_back(KernelKind::Ssse3);
-    }
-    if (avx2_byte_kernel() != nullptr) {
-        kinds.push_back(KernelKind::Avx2);
-    }
-    if (gfni_byte_kernel() != nullptr) {
-        kinds.push_back(KernelKind::Gfni);
-    }
-    return kinds;
-}
-
-std::vector<KernelKind> compiled_word_kernels() {
-    std::vector<KernelKind> kinds{KernelKind::Scalar};
-    if (vpclmul_word_kernel() != nullptr) {
-        kinds.push_back(KernelKind::Vpclmul);
-    }
-    return kinds;
-}
-
-const ByteKernel* byte_kernel(KernelKind kind) noexcept {
-    switch (kind) {
-        case KernelKind::Scalar: return &kByteScalar;
-        case KernelKind::Ssse3: return ssse3_byte_kernel();
-        case KernelKind::Avx2: return avx2_byte_kernel();
-        case KernelKind::Gfni: return gfni_byte_kernel();
-        case KernelKind::Vpclmul: return nullptr;  // word family only
-    }
-    __builtin_unreachable();
-}
-
-const WordKernel* word_kernel(KernelKind kind) noexcept {
-    // Previously a `kind == Vpclmul ? ... : nullptr` ternary — the one
-    // dispatch table the compiler could not check for exhaustiveness.
-    switch (kind) {
-        case KernelKind::Vpclmul: return vpclmul_word_kernel();
-        case KernelKind::Scalar:  // scalar u64 path is the window walk,
-        case KernelKind::Ssse3:   // byte family only
-        case KernelKind::Avx2:
-        case KernelKind::Gfni:
-            return nullptr;
-    }
-    __builtin_unreachable();
+    const auto* byte = guard::find_rung(byte_ladder(), kernel_name(kind));
+    const auto* word = guard::find_rung(word_ladder(), kernel_name(kind));
+    // Scalar is no rung: the floors run everywhere.
+    return byte != nullptr ? byte->supported(f) : word == nullptr || word->supported(f);
 }
 
 Dispatch make_dispatch(const CpuFeatures& f, bool force_scalar) noexcept {
-    Dispatch d;
-    d.cpu = f;
-    d.forced_scalar = force_scalar;
-    d.byte = &kByteScalar;
-    d.word = nullptr;
-    if (force_scalar) {
-        return d;
-    }
-    // Best compiled kernel the running CPU supports, never beyond: each
-    // candidate requires both its TU (non-null registry) and the full
-    // feature predicate in kernel_supported — one source of truth.  Byte
-    // preference order: gfni > avx2 > ssse3 > scalar (GFNI does one
-    // affine transform where the shuffle kernels do two lookups + XOR).
-    for (const KernelKind kind :
-         {KernelKind::Gfni, KernelKind::Avx2, KernelKind::Ssse3}) {
-        if (const ByteKernel* k = byte_kernel(kind);
-            k != nullptr && kernel_supported(kind, f)) {
-            d.byte = k;
-            break;
-        }
-    }
-    if (const WordKernel* k = vpclmul_word_kernel();
-        k != nullptr && kernel_supported(KernelKind::Vpclmul, f)) {
-        d.word = k;
-    }
-    return d;
+    return Dispatch{f, force_scalar, guard::pick(byte_ladder(), f, force_scalar),
+                    guard::pick(word_ladder(), f, force_scalar)};
 }
-
-bool env_flag_enabled(const char* value) noexcept {
-    if (value == nullptr || *value == '\0') {
-        return false;
-    }
-    for (const char* off : {"0", "off", "false", "no"}) {
-        const char* v = value;
-        const char* w = off;
-        for (; *v != '\0' && *w != '\0'; ++v, ++w) {
-            const char c = (*v >= 'A' && *v <= 'Z')
-                               ? static_cast<char>(*v - 'A' + 'a')
-                               : *v;
-            if (c != *w) {
-                break;
-            }
-        }
-        if (*v == '\0' && *w == '\0') {
-            return false;
-        }
-    }
-    return true;
-}
-
-namespace {
-
-bool force_scalar_from_env() noexcept {
-    // "GFR_BULK_FORCE_SCALAR=0" (or off/false/no, or empty) means unset —
-    // scripts can pass the knob through unconditionally.
-    return env_flag_enabled(std::getenv("GFR_BULK_FORCE_SCALAR"));
-}
-
-}  // namespace
 
 const Dispatch& dispatch() {
-    static const Dispatch d = guard::screen_and_record(
-        make_dispatch(detect_cpu(), force_scalar_from_env()),
-        std::getenv("GFR_GUARD_FAULT"));
+    // "GFR_BULK_FORCE_SCALAR=0" (or off/false/no, or empty) means unset —
+    // scripts can pass the knob through unconditionally.
+    static const Dispatch d = guard::record(guard::screen_dispatch(
+        make_dispatch(detect_cpu(),
+                      guard::env_flag_enabled(std::getenv("GFR_BULK_FORCE_SCALAR"))),
+        std::getenv(guard::kGuardFaultEnv)));
     return d;
 }
 

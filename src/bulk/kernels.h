@@ -4,11 +4,11 @@
 // Bulk region kernels: the ISA-specific inner loops of the streaming
 // GF(2^m) engine, plus the process-wide runtime dispatch that selects them.
 //
-// This header is a *leaf*: it depends on nothing above <cstdint>, so the
-// field layer (FieldOps / ConstMultiplier region routing) can sit on top of
-// it while bulk::RegionEngine — the traffic-shaped API in
-// bulk/region_engine.h — sits on top of the field layer.  Two sublayers,
-// one directory:
+// This header sits below the field layer: it depends only on bulk/cpu.h and
+// the generic guard ladder (guard/ladder.h), so the field layer (FieldOps /
+// ConstMultiplier region routing) can sit on top of it while
+// bulk::RegionEngine — the traffic-shaped API in bulk/region_engine.h —
+// sits on top of the field layer.  Two sublayers, one directory:
 //
 //     bulk/kernels.*      (ISA kernels + dispatch; below src/field)
 //     bulk/region_engine.* (streaming API over FieldOps; above src/field)
@@ -43,27 +43,28 @@
 // the two regions must not overlap at all.  Partial overlap is undefined.
 //
 // Dispatch: bulk::dispatch() probes the CPU once (bulk/cpu.h) and pins the
-// best compiled-and-supported kernel per family.  A kernel is only eligible
-// when (a) its translation unit was compiled (GFR_BULK_HAVE_* — off on
-// non-x86 targets or with -DGFR_BULK_PORTABLE_ONLY=ON) and (b) the running
-// CPU+OS report the ISA, so the dispatch can never select an unsupported
-// instruction set.  Setting the environment variable GFR_BULK_FORCE_SCALAR
-// (to anything but "0") before first use pins the portable scalar kernels —
-// the CI fallback job and A/B benchmarking both use it.
+// best compiled-and-supported kernel of each family's guard ladder.  A kernel
+// is only eligible when (a) its translation unit was compiled (GFR_BULK_HAVE_*
+// — off on non-x86 targets or with -DGFR_BULK_PORTABLE_ONLY=ON) and (b) the
+// running CPU+OS report the ISA, so the dispatch can never select an
+// unsupported instruction set.  Setting the environment variable
+// GFR_BULK_FORCE_SCALAR (to anything but "0") before first use pins the
+// portable scalar kernels — the CI fallback job and A/B benchmarking use it.
 
 #include "bulk/cpu.h"
+#include "guard/ladder.h"
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace gfr::bulk {
 
 /// Which ISA a kernel is built on.  Scalar is always available.
 /// Adding an enumerator is a compile error (-Werror=switch, no defaults)
-/// until every dispatch table in dispatch.cpp handles it.
+/// until kernel_name in dispatch.cpp names it.
 enum class KernelKind : std::uint8_t { Scalar, Ssse3, Avx2, Vpclmul, Gfni };
 
+/// The kind's name, which is also its rung token in GFR_GUARD_FAULT.
 [[nodiscard]] const char* kernel_name(KernelKind kind) noexcept;
 
 /// True when the running CPU (per `f`) can execute kernels of this kind.
@@ -152,17 +153,11 @@ void word_addmul_windows(const std::uint64_t* table, int windows,
 [[nodiscard]] const ByteKernel* gfni_byte_kernel() noexcept;
 [[nodiscard]] const WordKernel* vpclmul_word_kernel() noexcept;
 
-/// Kernels compiled into this binary, Scalar first.  The differential tests
-/// sweep these (running only the ones kernel_supported() allows).
-[[nodiscard]] std::vector<KernelKind> compiled_byte_kernels();
-[[nodiscard]] std::vector<KernelKind> compiled_word_kernels();
-
-/// The compiled byte kernel of `kind` (Scalar included), or nullptr.
-[[nodiscard]] const ByteKernel* byte_kernel(KernelKind kind) noexcept;
-
-/// The compiled non-scalar word kernel of `kind`, or nullptr (the scalar
-/// u64 path is the window-table walk above, which needs no WideParams).
-[[nodiscard]] const WordKernel* word_kernel(KernelKind kind) noexcept;
+/// The byte-family ladder (floor kByteScalar) and the word-family ladder
+/// (floor nullptr: the window-table walk).  Rung tokens are kernel_name()s;
+/// the self-tests are guard::selftest_byte_kernel / selftest_word_kernel.
+[[nodiscard]] const guard::Ladder<ByteKernel>& byte_ladder() noexcept;
+[[nodiscard]] const guard::Ladder<WordKernel>& word_ladder() noexcept;
 
 // --- Runtime dispatch --------------------------------------------------------
 
@@ -180,11 +175,6 @@ struct Dispatch {
 /// Exposed (rather than buried in dispatch()) so tests can pin the
 /// never-select-unsupported-ISA property against arbitrary feature sets.
 [[nodiscard]] Dispatch make_dispatch(const CpuFeatures& f, bool force_scalar) noexcept;
-
-/// Shared parsing for boolean environment knobs (GFR_BULK_FORCE_SCALAR and
-/// friends): enabled iff set, non-empty, and not one of "0", "off",
-/// "false", "no" (case-insensitive).  `value` is the getenv() result.
-[[nodiscard]] bool env_flag_enabled(const char* value) noexcept;
 
 /// The process-wide dispatch: CPU probed and GFR_BULK_FORCE_SCALAR read
 /// once, on first call.  Every non-scalar kernel the selection picks is

@@ -8,6 +8,27 @@
 
 namespace gfr::bulk {
 
+namespace {
+
+/// The kernel of `kind`'s rung, refusing (instead of SIGILL) one this
+/// binary or CPU cannot run.
+template <class Kernel>
+const Kernel* forced_kernel(const guard::Ladder<Kernel>& ladder, KernelKind kind,
+                            const CpuFeatures& cpu) {
+    const guard::Rung<Kernel>* r = guard::find_rung(ladder, kernel_name(kind));
+    if (r == nullptr || r->kernel == nullptr) {
+        throw std::invalid_argument{
+            "RegionEngine: kernel not compiled into this binary"};
+    }
+    if (!r->supported(cpu)) {
+        throw std::invalid_argument{
+            "RegionEngine: kernel not supported by this CPU"};
+    }
+    return r->kernel;
+}
+
+}  // namespace
+
 RegionEngine::RegionEngine(const field::FieldOps& ops)
     : ops_{&ops}, m_{ops.degree()} {
     init_kernels(KernelKind::Scalar, /*have_forced=*/false);
@@ -38,42 +59,22 @@ void RegionEngine::init_kernels(KernelKind forced, bool have_forced) {
             return;
         case KernelKind::Ssse3:
         case KernelKind::Avx2:
-        case KernelKind::Gfni: {
+        case KernelKind::Gfni:
             if (m_ > 8) {
                 throw std::invalid_argument{
                     "RegionEngine: byte kernels require m <= 8"};
             }
-            const ByteKernel* k = byte_kernel(forced);
-            if (k == nullptr) {
-                throw std::invalid_argument{
-                    "RegionEngine: kernel not compiled into this binary"};
-            }
-            if (!kernel_supported(forced, d.cpu)) {
-                throw std::invalid_argument{
-                    "RegionEngine: kernel not supported by this CPU"};
-            }
-            byte_kernel_ = k;
+            byte_kernel_ = forced_kernel(byte_ladder(), forced, d.cpu);
             word_kernel_ = nullptr;
             return;
-        }
-        case KernelKind::Vpclmul: {
+        case KernelKind::Vpclmul:
             if (m_ > 64) {
                 throw std::invalid_argument{
                     "RegionEngine: word kernels require m <= 64"};
             }
-            const WordKernel* k = word_kernel(forced);
-            if (k == nullptr) {
-                throw std::invalid_argument{
-                    "RegionEngine: kernel not compiled into this binary"};
-            }
-            if (!kernel_supported(forced, d.cpu)) {
-                throw std::invalid_argument{
-                    "RegionEngine: kernel not supported by this CPU"};
-            }
             byte_kernel_ = &kByteScalar;
-            word_kernel_ = k;
+            word_kernel_ = forced_kernel(word_ladder(), forced, d.cpu);
             return;
-        }
     }
     throw std::invalid_argument{"RegionEngine: unknown kernel kind"};
 }

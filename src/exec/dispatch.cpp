@@ -1,21 +1,18 @@
-// Tape-backend selection: the pure policy (make_exec_dispatch) plus the
-// process-wide singleton binding it to the detected CPU and the
-// GFR_EXEC_FORCE_SCALAR environment knob, screened through the guard
-// quarantine ladder before first use.
+// Tape-backend selection: the rung table, the pure policy
+// (make_exec_dispatch) that picks from it, and the process-wide singleton
+// binding it to the detected CPU and the GFR_EXEC_FORCE_SCALAR environment
+// knob, screened through the guard quarantine ladder before first use.
 
 #include "exec/run_kernels.h"
 
-#include "bulk/kernels.h"
 #include "guard/exec_check.h"
 
 #include <cstdlib>
 
 namespace gfr::exec {
 
-// Every switch over Backend in this file is exhaustive without a default
-// (-Werror=switch on the library target): a new backend fails to compile
-// until each table below names it — same discipline as bulk/dispatch.cpp.
-
+// Default-free switch: a new backend fails to compile (-Werror=switch on
+// the library target) until it is named here.
 const char* backend_name(Backend backend) noexcept {
     switch (backend) {
         case Backend::Scalar: return "scalar";
@@ -25,67 +22,44 @@ const char* backend_name(Backend backend) noexcept {
     __builtin_unreachable();
 }
 
-bool backend_supported(Backend backend, const bulk::CpuFeatures& f) noexcept {
-    switch (backend) {
-        case Backend::Scalar: return true;
-        case Backend::Avx2: return f.avx2;
-        case Backend::Avx512:
-            // avx512f already folds in the XCR0 opmask+ZMM OS check
-            // (detect_cpu), and the kernel issues only Foundation ops —
-            // no extra feature bits needed.
-            return f.avx512f;
-    }
-    __builtin_unreachable();
+const guard::Ladder<TapeKernel>& tape_ladder() noexcept {
+    // Best first: widest registers win.  avx512f already folds in the XCR0
+    // opmask+ZMM OS check (detect_cpu), and the kernel issues only
+    // Foundation ops — no extra feature bits needed.
+    static const guard::Rung<TapeKernel> rungs[] = {
+        {"avx512", avx512_tape_kernel(),
+         [](const bulk::CpuFeatures& f) { return f.avx512f; }},
+        {"avx2", avx2_tape_kernel(),
+         [](const bulk::CpuFeatures& f) { return f.avx2; }},
+    };
+    static const guard::Ladder<TapeKernel> ladder{
+        "exec-", rungs, &kTapeScalar, guard::selftest_tape_kernel};
+    return ladder;
 }
 
-std::vector<Backend> compiled_tape_backends() {
-    std::vector<Backend> backends{Backend::Scalar};
-    if (avx2_tape_kernel() != nullptr) {
-        backends.push_back(Backend::Avx2);
-    }
-    if (avx512_tape_kernel() != nullptr) {
-        backends.push_back(Backend::Avx512);
-    }
-    return backends;
+bool backend_supported(Backend backend, const bulk::CpuFeatures& f) noexcept {
+    const auto* r = guard::find_rung(tape_ladder(), backend_name(backend));
+    return r == nullptr || r->supported(f);  // Scalar: the floor runs everywhere
 }
 
 const TapeKernel* tape_kernel(Backend backend) noexcept {
-    switch (backend) {
-        case Backend::Scalar: return &kTapeScalar;
-        case Backend::Avx2: return avx2_tape_kernel();
-        case Backend::Avx512: return avx512_tape_kernel();
+    if (backend == Backend::Scalar) {
+        return &kTapeScalar;
     }
-    __builtin_unreachable();
+    const auto* r = guard::find_rung(tape_ladder(), backend_name(backend));
+    return r != nullptr ? r->kernel : nullptr;
 }
 
 ExecDispatch make_exec_dispatch(const bulk::CpuFeatures& f,
                                 bool force_scalar) noexcept {
-    ExecDispatch d;
-    d.cpu = f;
-    d.forced_scalar = force_scalar;
-    d.kernel = &kTapeScalar;
-    if (force_scalar) {
-        return d;
-    }
-    // Best compiled backend the running CPU supports, never beyond: each
-    // candidate requires both its TU (non-null registry) and the feature
-    // predicate in backend_supported — one source of truth.
-    for (const Backend backend : {Backend::Avx512, Backend::Avx2}) {
-        if (const TapeKernel* k = tape_kernel(backend);
-            k != nullptr && backend_supported(backend, f)) {
-            d.kernel = k;
-            break;
-        }
-    }
-    return d;
+    return ExecDispatch{f, force_scalar, guard::pick(tape_ladder(), f, force_scalar)};
 }
 
 const ExecDispatch& dispatch() {
-    static const ExecDispatch d = guard::screen_exec_and_record(
+    static const ExecDispatch d = guard::record(guard::screen_exec_dispatch(
         make_exec_dispatch(bulk::detect_cpu(),
-                           bulk::env_flag_enabled(
-                               std::getenv(kExecForceScalarEnv))),
-        std::getenv("GFR_GUARD_FAULT"));
+                           guard::env_flag_enabled(std::getenv(kExecForceScalarEnv))),
+        std::getenv(guard::kGuardFaultEnv)));
     return d;
 }
 

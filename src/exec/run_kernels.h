@@ -33,18 +33,19 @@
 
 #include "bulk/cpu.h"
 #include "exec/program.h"
+#include "guard/ladder.h"
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace gfr::exec {
 
 /// Which ISA a tape executor is built on.  Scalar is always available.
 /// Adding an enumerator is a compile error (-Werror=switch, no defaults)
-/// until every dispatch table in exec/dispatch.cpp handles it.
+/// until backend_name in exec/dispatch.cpp names it.
 enum class Backend : std::uint8_t { Scalar, Avx2, Avx512 };
 
+/// The backend's name; its rung token in GFR_GUARD_FAULT is "exec-<name>".
 [[nodiscard]] const char* backend_name(Backend backend) noexcept;
 
 /// True when the running CPU (per `f`) can execute this backend.
@@ -122,12 +123,12 @@ extern const TapeKernel kTapeScalar;
 [[nodiscard]] const TapeKernel* avx2_tape_kernel() noexcept;
 [[nodiscard]] const TapeKernel* avx512_tape_kernel() noexcept;
 
-/// Backends compiled into this binary, Scalar first.  The differential
-/// tests sweep these (running only the ones backend_supported() allows).
-[[nodiscard]] std::vector<Backend> compiled_tape_backends();
-
 /// The compiled executor of `backend` (Scalar included), or nullptr.
 [[nodiscard]] const TapeKernel* tape_kernel(Backend backend) noexcept;
+
+/// The tape-backend ladder: rung tokens "exec-" + backend_name(), floor
+/// kTapeScalar, self-test guard::selftest_tape_kernel.
+[[nodiscard]] const guard::Ladder<TapeKernel>& tape_ladder() noexcept;
 
 /// The backend selection for one (CPU, policy) pair.  `kernel` always
 /// points at an executor (scalar at worst).
@@ -137,14 +138,14 @@ struct ExecDispatch {
     const TapeKernel* kernel = nullptr;
 };
 
-/// Pure selection logic: the best compiled backend the features allow
-/// (avx512 > avx2 > scalar).  Exposed so tests can pin the
-/// never-select-unsupported-ISA property against arbitrary feature sets.
+/// Pure selection logic: the best compiled backend the features allow.
+/// Exposed so tests can pin the never-select-unsupported-ISA property
+/// against arbitrary feature sets.
 [[nodiscard]] ExecDispatch make_exec_dispatch(const bulk::CpuFeatures& f,
                                               bool force_scalar) noexcept;
 
 /// Environment knob pinning the scalar executor (parsed with
-/// bulk::env_flag_enabled: empty/"0"/"off"/"false"/"no" mean unset).
+/// guard::env_flag_enabled: empty/"0"/"off"/"false"/"no" mean unset).
 inline constexpr const char* kExecForceScalarEnv = "GFR_EXEC_FORCE_SCALAR";
 
 /// The process-wide backend: CPU probed and GFR_EXEC_FORCE_SCALAR read

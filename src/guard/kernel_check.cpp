@@ -21,22 +21,26 @@ struct SelfTestRng {
     }
 };
 
-bool token_matches(const char* begin, const char* end, const char* word) noexcept {
-    for (; begin != end && *word != '\0'; ++begin, ++word) {
-        const char c = (*begin >= 'A' && *begin <= 'Z')
-                           ? static_cast<char>(*begin - 'A' + 'a')
-                           : *begin;
-        if (c != *word) {
-            return false;
-        }
-    }
-    return begin == end && *word == '\0';
-}
-
 std::string hex(std::uint64_t v) {
     char buf[19];
     std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(v));
     return buf;
+}
+
+/// Good when got[0..n) == want[0..n); otherwise the first mismatch, as
+/// "<name> <op> mismatch at <at> i=<i>: got <hex> want <hex>".
+template <class T>
+Status first_mismatch(const T* got, const T* want, std::size_t n,
+                      const char* name, const char* op, const std::string& at) {
+    for (std::size_t i = 0; i < n; ++i) {
+        if (got[i] != want[i]) {
+            return Status::fail(Fault::KernelSelfTest,
+                                std::string{name} + " " + op + " mismatch at " +
+                                    at + " i=" + std::to_string(i) + ": got " +
+                                    hex(got[i]) + " want " + hex(want[i]));
+        }
+    }
+    return Status::good();
 }
 
 /// Lengths straddling every vector width (16/32 bytes, 4 u64 lanes), their
@@ -86,54 +90,6 @@ std::uint64_t peasant_mul(std::uint64_t a, std::uint64_t b) noexcept {
 
 }  // namespace
 
-std::string KernelCheck::to_string() const {
-    std::string s = "quarantined ";
-    s += bulk::kernel_name(kind);
-    s += forced ? " (forced by " : " (";
-    s += forced ? std::string{kGuardFaultEnv} + ")" : std::string{"self-test)"};
-    s += ": ";
-    s += detail;
-    return s;
-}
-
-bool fault_spec_hits(const char* spec, const char* kernel_name) noexcept {
-    if (spec == nullptr || *spec == '\0') {
-        return false;
-    }
-    const char* p = spec;
-    while (*p != '\0') {
-        const char* start = p;
-        while (*p != '\0' && *p != ',') {
-            ++p;
-        }
-        const char* stop = p;
-        if (*p == ',') {
-            ++p;
-        }
-        if (token_matches(start, stop, "0") || token_matches(start, stop, "off") ||
-            token_matches(start, stop, "false") ||
-            token_matches(start, stop, "no")) {
-            continue;
-        }
-        if (token_matches(start, stop, "all") || token_matches(start, stop, "1") ||
-            token_matches(start, stop, "simd") ||
-            token_matches(start, stop, "on") ||
-            token_matches(start, stop, "true") ||
-            token_matches(start, stop, "yes") ||
-            token_matches(start, stop, kernel_name)) {
-            return true;
-        }
-    }
-    return false;
-}
-
-bool fault_forced(const char* spec, bulk::KernelKind kind) noexcept {
-    if (kind == bulk::KernelKind::Scalar) {
-        return false;
-    }
-    return fault_spec_hits(spec, bulk::kernel_name(kind));
-}
-
 Status selftest_byte_kernel(const bulk::ByteKernel& k, bool force_fault) {
     const char* name = bulk::kernel_name(k.kind);
     if (k.mul == nullptr || k.addmul == nullptr) {
@@ -171,6 +127,8 @@ Status selftest_byte_kernel(const bulk::ByteKernel& k, bool force_fault) {
     bool faulted = !force_fault;
     for (const std::size_t n : kByteLengths) {
         for (const std::size_t off : {std::size_t{0}, std::size_t{1}}) {
+            const std::string at =
+                "n=" + std::to_string(n) + " off=" + std::to_string(off);
             for (std::size_t i = 0; i < n; ++i) {
                 src[off + i] = static_cast<std::uint8_t>(rng());
                 dst[off + i] = static_cast<std::uint8_t>(rng());
@@ -184,15 +142,10 @@ Status selftest_byte_kernel(const bulk::ByteKernel& k, bool force_fault) {
                 dst[off] ^= 1;  // forced fault: corrupt one output lane
                 faulted = true;
             }
-            for (std::size_t i = 0; i < n; ++i) {
-                if (dst[off + i] != expect[i]) {
-                    return Status::fail(
-                        Fault::KernelSelfTest,
-                        std::string{name} + " byte mul mismatch at n=" +
-                            std::to_string(n) + " off=" + std::to_string(off) +
-                            " i=" + std::to_string(i) + ": got " +
-                            hex(dst[off + i]) + " want " + hex(expect[i]));
-                }
+            if (Status s = first_mismatch(dst.data() + off, expect.data(), n, name,
+                                          "byte mul", at);
+                !s.ok()) {
+                return s;
             }
             // addmul accumulates into prior dst contents
             for (std::size_t i = 0; i < n; ++i) {
@@ -200,30 +153,20 @@ Status selftest_byte_kernel(const bulk::ByteKernel& k, bool force_fault) {
                                                       ref(src[off + i]));
             }
             k.addmul(t, src.data() + off, dst.data() + off, n);
-            for (std::size_t i = 0; i < n; ++i) {
-                if (dst[off + i] != expect[i]) {
-                    return Status::fail(
-                        Fault::KernelSelfTest,
-                        std::string{name} + " byte addmul mismatch at n=" +
-                            std::to_string(n) + " off=" + std::to_string(off) +
-                            " i=" + std::to_string(i) + ": got " +
-                            hex(dst[off + i]) + " want " + hex(expect[i]));
-                }
+            if (Status s = first_mismatch(dst.data() + off, expect.data(), n, name,
+                                          "byte addmul", at);
+                !s.ok()) {
+                return s;
             }
             // in-place mul (dst == src is inside the aliasing contract)
             for (std::size_t i = 0; i < n; ++i) {
                 expect[i] = ref(src[off + i]);
             }
             k.mul(t, src.data() + off, src.data() + off, n);
-            for (std::size_t i = 0; i < n; ++i) {
-                if (src[off + i] != expect[i]) {
-                    return Status::fail(
-                        Fault::KernelSelfTest,
-                        std::string{name} + " byte in-place mul mismatch at n=" +
-                            std::to_string(n) + " off=" + std::to_string(off) +
-                            " i=" + std::to_string(i) + ": got " +
-                            hex(src[off + i]) + " want " + hex(expect[i]));
-                }
+            if (Status s = first_mismatch(src.data() + off, expect.data(), n, name,
+                                          "byte in-place mul", at);
+                !s.ok()) {
+                return s;
             }
         }
     }
@@ -250,6 +193,7 @@ Status selftest_word_kernel(const bulk::WordKernel& k, bool force_fault) {
     std::vector<std::uint64_t> a(kMax), b(kMax), dst(kMax), expect(kMax);
     bool faulted = !force_fault;
     for (const std::size_t n : kWordLengths) {
+        const std::string at = "n=" + std::to_string(n);
         p.c = rng();
         for (std::size_t i = 0; i < n; ++i) {
             a[i] = rng();
@@ -265,127 +209,53 @@ Status selftest_word_kernel(const bulk::WordKernel& k, bool force_fault) {
             dst[0] ^= 1;
             faulted = true;
         }
-        for (std::size_t i = 0; i < n; ++i) {
-            if (dst[i] != expect[i]) {
-                return Status::fail(
-                    Fault::KernelSelfTest,
-                    std::string{name} + " word mul mismatch at n=" +
-                        std::to_string(n) + " i=" + std::to_string(i) +
-                        ": got " + hex(dst[i]) + " want " + hex(expect[i]));
-            }
+        if (Status s = first_mismatch(dst.data(), expect.data(), n, name,
+                                      "word mul", at);
+            !s.ok()) {
+            return s;
         }
         // addmul accumulates
         for (std::size_t i = 0; i < n; ++i) {
             expect[i] = dst[i] ^ peasant_mul(p.c, a[i]);
         }
         k.addmul(p, a.data(), dst.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (dst[i] != expect[i]) {
-                return Status::fail(
-                    Fault::KernelSelfTest,
-                    std::string{name} + " word addmul mismatch at n=" +
-                        std::to_string(n) + " i=" + std::to_string(i) +
-                        ": got " + hex(dst[i]) + " want " + hex(expect[i]));
-            }
+        if (Status s = first_mismatch(dst.data(), expect.data(), n, name,
+                                      "word addmul", at);
+            !s.ok()) {
+            return s;
         }
         // elementwise, including in-place (dst == a)
         for (std::size_t i = 0; i < n; ++i) {
             expect[i] = peasant_mul(a[i], b[i]);
         }
         k.mul_elementwise(p, a.data(), b.data(), dst.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (dst[i] != expect[i]) {
-                return Status::fail(
-                    Fault::KernelSelfTest,
-                    std::string{name} + " word elementwise mismatch at n=" +
-                        std::to_string(n) + " i=" + std::to_string(i) +
-                        ": got " + hex(dst[i]) + " want " + hex(expect[i]));
-            }
+        if (Status s = first_mismatch(dst.data(), expect.data(), n, name,
+                                      "word elementwise", at);
+            !s.ok()) {
+            return s;
         }
         k.mul_elementwise(p, a.data(), b.data(), a.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (a[i] != expect[i]) {
-                return Status::fail(
-                    Fault::KernelSelfTest,
-                    std::string{name} + " word in-place elementwise mismatch at n=" +
-                        std::to_string(n) + " i=" + std::to_string(i) +
-                        ": got " + hex(a[i]) + " want " + hex(expect[i]));
-            }
+        if (Status s = first_mismatch(a.data(), expect.data(), n, name,
+                                      "word in-place elementwise", at);
+            !s.ok()) {
+            return s;
         }
     }
     return Status::good();
 }
 
 ScreenResult screen_dispatch(const bulk::Dispatch& base, const char* fault_spec) {
-    ScreenResult r;
-    r.dispatch = base;
-    // Byte ladder: screen the selected kernel; on failure fall to the next
-    // rung the CPU supports and screen that too.  Scalar terminates the
-    // ladder unscreened — it is the reference semantics.
-    const bulk::ByteKernel* byte = base.byte;
-    while (byte != nullptr && byte->kind != bulk::KernelKind::Scalar) {
-        const bool forced = fault_forced(fault_spec, byte->kind);
-        const Status s = selftest_byte_kernel(*byte, forced);
-        if (s.ok()) {
-            break;
-        }
-        r.quarantined.push_back(KernelCheck{byte->kind, forced, s.detail});
-        // Next rung of gfni > avx2 > ssse3 > scalar that is compiled and
-        // CPU-supported (the same order make_dispatch prefers).
-        const bulk::ByteKernel* next = nullptr;
-        constexpr bulk::KernelKind kByteLadder[] = {bulk::KernelKind::Gfni,
-                                                    bulk::KernelKind::Avx2,
-                                                    bulk::KernelKind::Ssse3};
-        bool below_failed = false;
-        for (const bulk::KernelKind kind : kByteLadder) {
-            if (kind == byte->kind) {
-                below_failed = true;
-                continue;
-            }
-            if (!below_failed) {
-                continue;
-            }
-            if (const auto* k = bulk::byte_kernel(kind);
-                k != nullptr && bulk::kernel_supported(kind, base.cpu)) {
-                next = k;
-                break;
-            }
-        }
-        byte = (next != nullptr) ? next : &bulk::kByteScalar;
-    }
-    r.dispatch.byte = byte;
-    // Word ladder has one rung: vpclmul, whose fallback is the always-on
-    // window-table walk (word == nullptr).
-    if (base.word != nullptr) {
-        const bool forced = fault_forced(fault_spec, base.word->kind);
-        const Status s = selftest_word_kernel(*base.word, forced);
-        if (!s.ok()) {
-            r.quarantined.push_back(KernelCheck{base.word->kind, forced, s.detail});
-            r.dispatch.word = nullptr;
-        }
-    }
+    ScreenResult r{base, {}};
+    r.dispatch.byte = screen(bulk::byte_ladder(), base.byte, base.cpu,
+                             fault_spec, r.quarantined);
+    r.dispatch.word = screen(bulk::word_ladder(), base.word, base.cpu,
+                             fault_spec, r.quarantined);
     return r;
 }
 
-namespace {
-// Written once, inside bulk::dispatch()'s magic-static initializer (which
-// serializes concurrent first calls); read-only afterwards.
-std::vector<KernelCheck>& quarantine_store() {
-    static std::vector<KernelCheck> store;
-    return store;
-}
-}  // namespace
-
-bulk::Dispatch screen_and_record(const bulk::Dispatch& base,
-                                 const char* fault_spec) {
-    ScreenResult r = screen_dispatch(base, fault_spec);
-    quarantine_store() = std::move(r.quarantined);
-    return r.dispatch;
-}
-
-const std::vector<KernelCheck>& quarantine_report() {
+const std::vector<Quarantined>& quarantine_report() {
     (void)bulk::dispatch();  // force the one-time screening
-    return quarantine_store();
+    return recorded_quarantine<bulk::Dispatch>();
 }
 
 }  // namespace gfr::guard

@@ -35,29 +35,6 @@ const std::vector<std::size_t>& edge_lengths() {
     return lens;
 }
 
-/// Kernel kinds this binary compiled AND this CPU can run, byte family.
-std::vector<KernelKind> runnable_byte_kernels() {
-    std::vector<KernelKind> out;
-    const CpuFeatures cpu = detect_cpu();
-    for (const KernelKind k : compiled_byte_kernels()) {
-        if (kernel_supported(k, cpu)) {
-            out.push_back(k);
-        }
-    }
-    return out;
-}
-
-std::vector<KernelKind> runnable_word_kernels() {
-    std::vector<KernelKind> out;
-    const CpuFeatures cpu = detect_cpu();
-    for (const KernelKind k : compiled_word_kernels()) {
-        if (kernel_supported(k, cpu)) {
-            out.push_back(k);
-        }
-    }
-    return out;
-}
-
 /// Small fields below GF(2^8) exercise the byte kernels' partial-nibble
 /// handling; Table V contributes (8,2) and the paper's worked field.
 std::vector<Field> byte_fields() {
@@ -83,13 +60,7 @@ TEST(BulkDispatch, NeverSelectsUnsupportedIsa) {
     // must be within the features, and forcing scalar must pin scalar
     // regardless of features.
     for (int bits = 0; bits < 64; ++bits) {
-        CpuFeatures f;
-        f.ssse3 = (bits & 1) != 0;
-        f.avx2 = (bits & 2) != 0;
-        f.pclmul = (bits & 4) != 0;
-        f.vpclmulqdq = (bits & 8) != 0;
-        f.gfni = (bits & 16) != 0;
-        f.avx512f = (bits & 32) != 0;
+        const CpuFeatures f = testutil::cpu_features(bits);
         for (const bool forced : {false, true}) {
             const Dispatch d = make_dispatch(f, forced);
             ASSERT_NE(d.byte, nullptr);
@@ -118,7 +89,7 @@ TEST(BulkDispatch, ProcessDispatchObeysRunningCpu) {
         EXPECT_TRUE(kernel_supported(d.word->kind, cpu));
     }
     // Scalar kernels are always compiled and always runnable.
-    EXPECT_EQ(byte_kernel(KernelKind::Scalar), &kByteScalar);
+    EXPECT_EQ(byte_ladder().floor, &kByteScalar);
     EXPECT_TRUE(kernel_supported(KernelKind::Scalar, CpuFeatures{}));
 }
 
@@ -139,14 +110,14 @@ TEST(BulkDispatch, ForcingInapplicableOrUnsupportedKernelThrows) {
     // Not compiled or not supported by this CPU → throw instead of SIGILL.
     for (const KernelKind k :
          {KernelKind::Ssse3, KernelKind::Avx2, KernelKind::Gfni}) {
-        if (byte_kernel(k) == nullptr || !kernel_supported(k, cpu)) {
+        const auto* rung = guard::find_rung(byte_ladder(), kernel_name(k));
+        if (rung->kernel == nullptr || !rung->supported(cpu)) {
             EXPECT_THROW(RegionEngine(f8.ops(), k), std::invalid_argument);
         } else {
             EXPECT_EQ(RegionEngine(f8.ops(), k).byte_kernel_kind(), k);
         }
     }
-    if (word_kernel(KernelKind::Vpclmul) == nullptr ||
-        !kernel_supported(KernelKind::Vpclmul, cpu)) {
+    if (guard::runnable(word_ladder(), cpu).empty()) {
         EXPECT_THROW(RegionEngine(f64.ops(), KernelKind::Vpclmul),
                      std::invalid_argument);
     } else {
@@ -167,7 +138,8 @@ TEST(BulkRegion, ByteKernelsBitIdenticalToScalarAllEdgeCases) {
     Xorshift64Star rng{0xB17E5EED5EEDULL};
     for (const Field& f : byte_fields()) {
         const RegionEngine scalar{f.ops(), KernelKind::Scalar};
-        for (const KernelKind kind : runnable_byte_kernels()) {
+        for (const ByteKernel* k : guard::runnable(byte_ladder(), detect_cpu())) {
+            const KernelKind kind = k->kind;
             const RegionEngine eng{f.ops(), kind};
             for (const std::size_t n : edge_lengths()) {
                 // Unaligned offsets: src at +1, dst at +3 of their buffers.
@@ -307,11 +279,8 @@ TEST(BulkRegion, WordKernelsBitIdenticalToScalarAllEdgeCases) {
     Xorshift64Star rng{0xC0FFEE0DDBA11ULL};
     for (const Field& f : word_fields()) {
         const RegionEngine scalar{f.ops(), KernelKind::Scalar};
-        std::vector<KernelKind> kinds = runnable_word_kernels();
-        for (const KernelKind kind : kinds) {
-            if (kind == KernelKind::Scalar) {
-                continue;  // the reference itself
-            }
+        for (const WordKernel* k : guard::runnable(word_ladder(), detect_cpu())) {
+            const KernelKind kind = k->kind;
             const RegionEngine eng{f.ops(), kind};
             for (const std::size_t n : edge_lengths()) {
                 // +1 element offset: 8-byte aligned, 32-byte unaligned.
@@ -546,8 +515,7 @@ TEST(BulkRegion, PreparedMismatchedEngineThrowsInsteadOfWrongSymbols) {
     EXPECT_THROW(eng8b.scale_region(prep8, bbuf), std::invalid_argument);
     // Same field, different kernel selection (scalar m>8 needs window
     // tables a wide-kernel engine never builds, and vice versa).
-    if (word_kernel(KernelKind::Vpclmul) != nullptr &&
-        kernel_supported(KernelKind::Vpclmul, detect_cpu())) {
+    if (!guard::runnable(word_ladder(), detect_cpu()).empty()) {
         const RegionEngine eng64_wide{f64.ops(), KernelKind::Vpclmul};
         const auto prep_wide = eng64_wide.prepare(std::uint64_t{5});
         const auto prep_scalar = eng64_scalar.prepare(std::uint64_t{5});

@@ -10,23 +10,19 @@
 //   - the fused sweep-oracle rungs pinned against the scalar oracle's diff
 //     words (clean outputs, a single tampered lane bit, fully random
 //     outputs) at every block count;
-//   - the pure dispatch policy (make_exec_dispatch) over all 64 CpuFeatures
-//     combinations — a vector backend is never selected without ISA support
-//     and forcing scalar always pins scalar;
-//   - the guard quarantine ladder (guard/exec_check.h): golden-tape
-//     self-tests, GFR_GUARD_FAULT spec parsing, forced-fault ladder walks
-//     (avx512 -> avx2 -> scalar), and the process-wide quarantine report;
+//   - the rung table and the pure dispatch policy (make_exec_dispatch) over
+//     all 64 CpuFeatures combinations — a vector backend is never selected
+//     without ISA support and forcing scalar always pins scalar;
 //   - campaign invariance: verify_multiplier's verdict and counterexample
 //     string are identical across batching widths and backends, both
 //     regimes.
+//
+// The guard ladder screening these backends is tested in test_guard_dispatch.
 
 #include "bulk/cpu.h"
-#include "bulk/kernels.h"
 #include "exec/program.h"
 #include "exec/run_kernels.h"
 #include "field/field_catalog.h"
-#include "guard/exec_check.h"
-#include "guard/kernel_check.h"
 #include "multipliers/generator.h"
 #include "multipliers/verify.h"
 #include "testutil.h"
@@ -40,6 +36,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace gfr::exec {
@@ -48,29 +45,19 @@ namespace {
 using netlist::Netlist;
 using testutil::Xorshift64Star;
 
-/// Non-scalar compiled backends the running CPU can execute — the set the
-/// differential and ladder tests sweep.  May legitimately be empty
-/// (portable build, pre-AVX2 hardware); each test then degenerates to its
+/// Every backend this build and CPU can execute, best first, scalar last —
+/// the set the differential and ladder tests sweep.  Scalar alone on a
+/// portable build or pre-AVX2 hardware; each test then degenerates to its
 /// scalar-only assertions and still passes.
-std::vector<Backend> runnable_vector_backends() {
-    std::vector<Backend> out;
-    const bulk::CpuFeatures cpu = bulk::detect_cpu();
-    for (const Backend b : compiled_tape_backends()) {
-        if (b != Backend::Scalar && backend_supported(b, cpu)) {
-            out.push_back(b);
-        }
-    }
-    return out;
+std::vector<const TapeKernel*> runnable_backends() {
+    return guard::runnable(tape_ladder(), bulk::detect_cpu());
 }
 
 // --- Dispatch tables and policy ----------------------------------------------
 
 TEST(ExecBackends, BackendTablesAreConsistent) {
-    const auto compiled = compiled_tape_backends();
-    ASSERT_FALSE(compiled.empty());
-    EXPECT_EQ(compiled.front(), Backend::Scalar);
-
     EXPECT_EQ(tape_kernel(Backend::Scalar), &kTapeScalar);
+    EXPECT_EQ(tape_ladder().floor, &kTapeScalar);
     EXPECT_EQ(kTapeScalar.backend, Backend::Scalar);
     EXPECT_EQ(kTapeScalar.word_lanes, 1);
     ASSERT_NE(kTapeScalar.run, nullptr);
@@ -80,33 +67,25 @@ TEST(ExecBackends, BackendTablesAreConsistent) {
     EXPECT_EQ(std::string{backend_name(Backend::Avx2)}, "avx2");
     EXPECT_EQ(std::string{backend_name(Backend::Avx512)}, "avx512");
 
-    if (const TapeKernel* k = avx2_tape_kernel()) {
-        EXPECT_EQ(k, tape_kernel(Backend::Avx2));
-        EXPECT_EQ(k->backend, Backend::Avx2);
-        EXPECT_EQ(k->word_lanes, 4);
-        EXPECT_NE(k->run, nullptr);
-        EXPECT_NE(k->oracle, nullptr);
-    } else {
-        EXPECT_EQ(tape_kernel(Backend::Avx2), nullptr);
+    // Each vector backend is one rung, named by its backend, holding its
+    // registry's kernel (nullptr when compiled out); a compiled one ships
+    // both halves of the kernel pair (tape executor + fused sweep oracle)
+    // at its register width.
+    for (const auto& [b, registry, lanes] :
+         {std::tuple{Backend::Avx2, avx2_tape_kernel(), 4},
+          std::tuple{Backend::Avx512, avx512_tape_kernel(), 8}}) {
+        const auto* rung = guard::find_rung(tape_ladder(), backend_name(b));
+        ASSERT_NE(rung, nullptr) << backend_name(b);
+        EXPECT_EQ(rung->kernel, registry);
+        EXPECT_EQ(tape_kernel(b), registry);
+        if (registry != nullptr) {
+            EXPECT_EQ(registry->backend, b);
+            EXPECT_EQ(registry->word_lanes, lanes);
+            EXPECT_NE(registry->run, nullptr);
+            EXPECT_NE(registry->oracle, nullptr);
+        }
     }
-    if (const TapeKernel* k = avx512_tape_kernel()) {
-        EXPECT_EQ(k, tape_kernel(Backend::Avx512));
-        EXPECT_EQ(k->backend, Backend::Avx512);
-        EXPECT_EQ(k->word_lanes, 8);
-        EXPECT_NE(k->run, nullptr);
-        EXPECT_NE(k->oracle, nullptr);
-    } else {
-        EXPECT_EQ(tape_kernel(Backend::Avx512), nullptr);
-    }
-
-    // Every compiled backend is listed exactly once, resolvable, and ships
-    // both halves of the kernel pair (tape executor + fused sweep oracle).
-    for (const Backend b : compiled) {
-        const TapeKernel* k = tape_kernel(b);
-        ASSERT_NE(k, nullptr) << backend_name(b);
-        EXPECT_EQ(k->backend, b);
-        EXPECT_NE(k->oracle, nullptr) << backend_name(b);
-    }
+    EXPECT_EQ(tape_ladder().rungs.size(), 2U);
 }
 
 TEST(ExecBackends, MakeExecDispatchNeverSelectsUnsupportedIsa) {
@@ -115,13 +94,7 @@ TEST(ExecBackends, MakeExecDispatchNeverSelectsUnsupportedIsa) {
     // forcing scalar must pin scalar, and among the allowed compiled
     // backends the widest one wins (avx512 > avx2 > scalar).
     for (int bits = 0; bits < 64; ++bits) {
-        bulk::CpuFeatures f;
-        f.ssse3 = (bits & 1) != 0;
-        f.avx2 = (bits & 2) != 0;
-        f.pclmul = (bits & 4) != 0;
-        f.vpclmulqdq = (bits & 8) != 0;
-        f.gfni = (bits & 16) != 0;
-        f.avx512f = (bits & 32) != 0;
+        const bulk::CpuFeatures f = testutil::cpu_features(bits);
         for (const bool forced : {false, true}) {
             const ExecDispatch d = make_exec_dispatch(f, forced);
             ASSERT_NE(d.kernel, nullptr);
@@ -151,7 +124,7 @@ TEST(ExecBackends, ProcessDispatchMatchesEnvironmentPolicy) {
     ASSERT_NE(d.kernel, nullptr);
     EXPECT_TRUE(backend_supported(d.kernel->backend, bulk::detect_cpu()));
     const char* env = std::getenv(kExecForceScalarEnv);
-    if (bulk::env_flag_enabled(env)) {
+    if (guard::env_flag_enabled(env)) {
         EXPECT_TRUE(d.forced_scalar);
         EXPECT_EQ(d.kernel->backend, Backend::Scalar);
     } else {
@@ -205,7 +178,7 @@ TEST(ExecBackends, AllBackendsMatchScalarEveryFamilyEveryWidth) {
     // 1..kMaxBlocks: the explicit scalar run is the reference; every
     // runnable vector backend AND the auto-dispatched default must agree
     // word-for-word on identical random inputs.
-    const auto vector_backends = runnable_vector_backends();
+    const auto backends = runnable_backends();
     Xorshift64Star rng{0xBAC0FFEEULL};
     testutil::for_each_table5_field([&](const auto& spec, const field::Field& f) {
         const std::size_t n_in = 2 * static_cast<std::size_t>(f.degree());
@@ -229,7 +202,8 @@ TEST(ExecBackends, AllBackendsMatchScalarEveryFamilyEveryWidth) {
                 const auto got_view = std::span{got}.first(n_out * blocks);
                 prog.run(in_view, want_view, ref_scratch, blocks,
                          Backend::Scalar);
-                for (const Backend b : vector_backends) {
+                for (const TapeKernel* k : backends) {
+                    const Backend b = k->backend;
                     std::fill(got.begin(), got.end(), ~std::uint64_t{0});
                     prog.run(in_view, got_view, scratch, blocks, b);
                     for (std::size_t i = 0; i < want_view.size(); ++i) {
@@ -262,7 +236,7 @@ TEST(ExecBackends, FusedSweepOraclesMatchScalarEveryWidth) {
     // word-identical.  Fields cover the AVX-512 register-resident m <= 8
     // fast path (with its odd-block tail), the two-word and the three-word
     // general pipeline.
-    const auto vector_backends = runnable_vector_backends();
+    const auto backends = runnable_backends();
     Xorshift64Star rng{0x0B5E55EDULL};
     const field::Field fields[] = {field::gf256_paper_field(),
                                    field::Field::type2(113, 4),
@@ -299,10 +273,11 @@ TEST(ExecBackends, FusedSweepOraclesMatchScalarEveryWidth) {
         const auto check_backends = [&](const char* regime, int blocks) {
             kTapeScalar.oracle(ov, in.data(), got.data(), want_diff.data(),
                                dwork.data(), blocks);
-            for (const Backend b : vector_backends) {
+            for (const TapeKernel* k : backends) {
+                const Backend b = k->backend;
                 std::fill(diff.begin(), diff.end(), ~std::uint64_t{0});
-                tape_kernel(b)->oracle(ov, in.data(), got.data(), diff.data(),
-                                       dwork.data(), blocks);
+                k->oracle(ov, in.data(), got.data(), diff.data(), dwork.data(),
+                          blocks);
                 for (int i = 0; i < blocks; ++i) {
                     ASSERT_EQ(diff[i], want_diff[i])
                         << "m=" << m << " " << regime << ": backend "
@@ -374,124 +349,6 @@ TEST(ExecBackends, UnavailableBackendThrowsPinnedMessage) {
     }
 }
 
-// --- Guard: fault specs, self-tests, quarantine ladder -----------------------
-
-TEST(ExecBackends, FaultSpecParsing) {
-    // exec rungs answer to "exec-<name>" and the umbrella tokens, never to
-    // the bulk kernel names, and scalar is never forced.
-    EXPECT_TRUE(guard::exec_fault_forced("exec-avx2", Backend::Avx2));
-    EXPECT_TRUE(guard::exec_fault_forced("exec-avx512", Backend::Avx512));
-    EXPECT_TRUE(guard::exec_fault_forced("EXEC-AVX512", Backend::Avx512));
-    EXPECT_FALSE(guard::exec_fault_forced("exec-avx512", Backend::Avx2));
-    EXPECT_FALSE(guard::exec_fault_forced("exec-avx2", Backend::Avx512));
-    EXPECT_FALSE(guard::exec_fault_forced("avx2", Backend::Avx2));
-    EXPECT_FALSE(guard::exec_fault_forced("gfni", Backend::Avx2));
-    for (const char* umbrella : {"all", "1", "simd", "on", "true", "yes"}) {
-        EXPECT_TRUE(guard::exec_fault_forced(umbrella, Backend::Avx2)) << umbrella;
-        EXPECT_TRUE(guard::exec_fault_forced(umbrella, Backend::Avx512)) << umbrella;
-        EXPECT_FALSE(guard::exec_fault_forced(umbrella, Backend::Scalar)) << umbrella;
-    }
-    EXPECT_FALSE(guard::exec_fault_forced(nullptr, Backend::Avx2));
-    for (const char* off : {"", "0", "off", "false", "no"}) {
-        EXPECT_FALSE(guard::exec_fault_forced(off, Backend::Avx2)) << off;
-    }
-    // Comma lists: any matching token forces.
-    EXPECT_TRUE(guard::exec_fault_forced("gfni,exec-avx2", Backend::Avx2));
-    EXPECT_FALSE(guard::exec_fault_forced("gfni,vpclmul", Backend::Avx2));
-    // The shared parser behind both tiers agrees on the bulk names too.
-    EXPECT_TRUE(guard::fault_spec_hits("exec-avx2,gfni", "gfni"));
-    EXPECT_FALSE(guard::fault_spec_hits("exec-avx2", "avx2"));
-}
-
-TEST(ExecBackends, SelfTestPassesAndDetectsForcedFault) {
-    // Every runnable backend (scalar included) passes the golden-tape
-    // screening; a forced fault is always caught and names coordinates.
-    EXPECT_TRUE(guard::selftest_tape_kernel(kTapeScalar).ok());
-    for (const Backend b : runnable_vector_backends()) {
-        const TapeKernel* k = tape_kernel(b);
-        ASSERT_NE(k, nullptr);
-        EXPECT_TRUE(guard::selftest_tape_kernel(*k).ok()) << backend_name(b);
-        const guard::Status faulted =
-            guard::selftest_tape_kernel(*k, /*force_fault=*/true);
-        EXPECT_FALSE(faulted.ok()) << backend_name(b);
-        EXPECT_EQ(faulted.fault, guard::Fault::KernelSelfTest);
-        EXPECT_FALSE(faulted.detail.empty());
-    }
-}
-
-TEST(ExecBackends, ScreenLadderWalksDownPastForcedFaults) {
-    // Drive the pure screening policy with synthetic fault specs against
-    // the real selection for this CPU: forcing the top rung lands on the
-    // next runnable one, forcing everything lands on scalar, and a null
-    // spec quarantines nothing.
-    const bulk::CpuFeatures cpu = bulk::detect_cpu();
-    const ExecDispatch base = make_exec_dispatch(cpu, false);
-
-    const auto clean = guard::screen_exec_dispatch(base, nullptr);
-    EXPECT_TRUE(clean.quarantined.empty());
-    EXPECT_EQ(clean.dispatch.kernel, base.kernel);
-
-    const auto all = guard::screen_exec_dispatch(base, "all");
-    EXPECT_EQ(all.dispatch.kernel->backend, Backend::Scalar);
-    // One quarantine entry per non-scalar rung the ladder had to walk.
-    const auto runnable = runnable_vector_backends();
-    std::size_t walked = 0;
-    for (const Backend b : runnable) {
-        walked += (static_cast<int>(b) <= static_cast<int>(base.kernel->backend))
-                      ? 1U
-                      : 0U;
-    }
-    EXPECT_EQ(all.quarantined.size(), walked);
-    for (const auto& q : all.quarantined) {
-        EXPECT_TRUE(q.forced);
-        EXPECT_NE(q.backend, Backend::Scalar);
-        EXPECT_NE(q.to_string().find("forced by"), std::string::npos);
-    }
-
-    if (base.kernel->backend == Backend::Scalar) {
-        return;  // nothing above scalar on this host; ladder fully covered
-    }
-    // Force only the top rung: the selection degrades exactly one step (to
-    // the next runnable backend, scalar at worst) and quarantines one rung.
-    char top_token[32];
-    std::snprintf(top_token, sizeof top_token, "exec-%s",
-                  backend_name(base.kernel->backend));
-    const auto one = guard::screen_exec_dispatch(base, top_token);
-    ASSERT_EQ(one.quarantined.size(), 1U);
-    EXPECT_EQ(one.quarantined[0].backend, base.kernel->backend);
-    Backend next = Backend::Scalar;
-    for (const Backend b : runnable) {
-        if (static_cast<int>(b) < static_cast<int>(base.kernel->backend) &&
-            static_cast<int>(b) > static_cast<int>(next)) {
-            next = b;
-        }
-    }
-    EXPECT_EQ(one.dispatch.kernel->backend, next);
-}
-
-TEST(ExecBackends, QuarantineReportMatchesEnvironment) {
-    // The process-wide exec dispatch was screened on first use with
-    // whatever GFR_GUARD_FAULT the environment carries (the CI drill sets
-    // it; the regular run does not).
-    const char* spec = std::getenv(guard::kGuardFaultEnv);
-    const auto& report = guard::exec_quarantine_report();
-    if (spec == nullptr || *spec == '\0') {
-        EXPECT_TRUE(report.empty());
-        return;
-    }
-    // Under a forced-fault spec every quarantined rung was forced, none is
-    // scalar, and the surviving dispatch still answers (scalar at worst)
-    // with bit-identical results — the differential tests above already ran
-    // against it in this same process.
-    ASSERT_NE(dispatch().kernel, nullptr);
-    for (const auto& q : report) {
-        EXPECT_TRUE(q.forced);
-        EXPECT_NE(q.backend, Backend::Scalar);
-        EXPECT_TRUE(guard::exec_fault_forced(spec, q.backend))
-            << backend_name(q.backend);
-    }
-}
-
 // --- Campaign invariance across widths and backends --------------------------
 
 /// Sweeps verify_multiplier over batching widths x backends x both sweep
@@ -508,9 +365,9 @@ void expect_invariant_campaign(const Netlist& bad, const field::Field& f,
     ASSERT_TRUE(reference.has_value()) << regime;
     const std::string want = reference->to_string();
 
-    std::vector<std::optional<Backend>> backends{std::nullopt, Backend::Scalar};
-    for (const Backend b : runnable_vector_backends()) {
-        backends.emplace_back(b);
+    std::vector<std::optional<Backend>> backends{std::nullopt};
+    for (const TapeKernel* k : runnable_backends()) {
+        backends.emplace_back(k->backend);
     }
     for (const int width : {1, 4, 8, 16}) {
         for (const bool fused : {false, true}) {

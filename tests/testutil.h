@@ -20,6 +20,7 @@
 // Each test executable is a single translation unit, so including this
 // header once per binary keeps the one-definition rule intact.
 
+#include "bulk/cpu.h"
 #include "field/field_catalog.h"
 #include "field/gf2m.h"
 #include "gf2/gf2_poly.h"
@@ -29,6 +30,7 @@
 #include "verify/campaign.h"
 
 #include <atomic>
+#include <cctype>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -193,6 +195,32 @@ inline netlist::Netlist clone_netlist(const netlist::Netlist& src,
                                       const GateHook& gate_hook = nullptr,
                                       const OutputHook& output_hook = nullptr) {
     return netlist::clone_netlist(src, {.intern = true}, gate_hook, output_hook);
+}
+
+/// Combination `bits` (0..63) of the six CpuFeatures flags, one bit each in
+/// declaration order — the dispatch-policy tests sweep all 64.
+inline bulk::CpuFeatures cpu_features(int bits) {
+    bulk::CpuFeatures f;
+    f.ssse3 = (bits & 1) != 0;
+    f.avx2 = (bits & 2) != 0;
+    f.pclmul = (bits & 4) != 0;
+    f.vpclmulqdq = (bits & 8) != 0;
+    f.gfni = (bits & 16) != 0;
+    f.avx512f = (bits & 32) != 0;
+    return f;
+}
+
+/// True when the comma-separated GFR_GUARD_FAULT-style `spec` lists `name`
+/// (lower case) as one of its tokens, ignoring case and blanks.  A re-parse
+/// independent of the guard's own matcher, for checking it.
+inline bool fault_spec_names(const char* spec, const std::string& name) {
+    std::string s;
+    for (const char* p = spec; p != nullptr && *p != '\0'; ++p) {
+        if (*p != ' ' && *p != '\t') {
+            s += static_cast<char>(std::tolower(static_cast<unsigned char>(*p)));
+        }
+    }
+    return ("," + s + ",").find("," + name + ",") != std::string::npos;
 }
 
 }  // namespace gfr::testutil
