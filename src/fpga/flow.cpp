@@ -21,6 +21,24 @@ FlowResult map_and_measure(const netlist::Netlist& prepared, const FlowOptions& 
 
 }  // namespace
 
+std::span<const netlist::SynthOptions> synthesis_strategies() {
+    static const std::vector<netlist::SynthOptions> strategies = {
+        {.flatten_anf = false, .group_cones = false, .extract_pairs = false,
+         .balance = false},  // as-given
+        {.flatten_anf = false, .group_cones = false, .extract_pairs = false,
+         .balance = true},   // depth-aware balance
+        {.flatten_anf = false, .group_cones = false, .extract_pairs = true,
+         .balance = true},   // pair CSE + balance
+        {.flatten_anf = false, .group_cones = true, .extract_pairs = false,
+         .balance = true},   // signature grouping, LUT-aware trees
+        {.flatten_anf = true, .group_cones = false, .extract_pairs = false,
+         .balance = true},   // per-output flat ANF, LUT-aware trees
+        {.flatten_anf = false, .group_cones = true, .extract_pairs = true,
+         .cse_min_count = 3, .balance = true},  // grouping + strongly-shared pairs
+    };
+    return strategies;
+}
+
 FlowResult run_flow(const netlist::Netlist& nl, const FlowOptions& options) {
     if (options.optimize) {
         // Optimize once up front (verified pass by pass), then re-enter the
@@ -49,23 +67,9 @@ FlowResult run_flow(const netlist::Netlist& nl, const FlowOptions& options) {
     }
     // Strategy search: the synthesiser is free, so it evaluates several
     // restructurings and keeps whichever maps best.
-    const std::vector<netlist::SynthOptions> strategies = {
-        {.flatten_anf = false, .group_cones = false, .extract_pairs = false,
-         .balance = false},  // as-given
-        {.flatten_anf = false, .group_cones = false, .extract_pairs = false,
-         .balance = true},   // depth-aware balance
-        {.flatten_anf = false, .group_cones = false, .extract_pairs = true,
-         .balance = true},   // pair CSE + balance
-        {.flatten_anf = false, .group_cones = true, .extract_pairs = false,
-         .balance = true},   // signature grouping, LUT-aware trees
-        {.flatten_anf = true, .group_cones = false, .extract_pairs = false,
-         .balance = true},   // per-output flat ANF, LUT-aware trees
-        {.flatten_anf = false, .group_cones = true, .extract_pairs = true,
-         .cse_min_count = 3, .balance = true},  // grouping + strongly-shared pairs
-    };
     FlowResult best;
     bool first = true;
-    for (const auto& synth : strategies) {
+    for (const auto& synth : synthesis_strategies()) {
         FlowResult candidate =
             map_and_measure(netlist::synthesize(nl, synth), options);
         if (first || candidate.area_time < best.area_time) {

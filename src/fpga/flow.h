@@ -18,6 +18,8 @@
 #include "netlist/passes.h"
 #include "opt/opt.h"
 
+#include <span>
+
 namespace gfr::fpga {
 
 struct FlowOptions {
@@ -49,6 +51,12 @@ struct FlowResult {
 };
 
 FlowResult run_flow(const netlist::Netlist& nl, const FlowOptions& options = {});
+
+/// The restructurings the strategy search evaluates, in the order it tries
+/// them (ties keep the earliest): as-given, depth-aware balance, pair CSE,
+/// signature grouping, per-output flat ANF, and grouping plus strongly
+/// shared pairs.  Built once.
+std::span<const netlist::SynthOptions> synthesis_strategies();
 
 }  // namespace gfr::fpga
 

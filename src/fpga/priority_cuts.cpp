@@ -4,7 +4,7 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
-#include <unordered_map>
+#include <vector>
 
 namespace gfr::fpga {
 
@@ -21,45 +21,87 @@ constexpr std::uint64_t kVarMask[6] = {
     0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
     0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
 
+/// Per-node mapping state.  The node's priority cuts are `count` contiguous
+/// cuts in a CutStore, trivial cut last.
 struct NodeState {
-    std::vector<Cut> cuts;  // priority list; trivial cut appended last
+    Cut* cuts = nullptr;
+    std::uint32_t count = 0;
     int best_depth = 0;
     double area_flow = 0;
     int est_refs = 1;
 };
 
-/// Truth table of the cone rooted at `root` with the given leaves, by
-/// recursive evaluation over minterm masks.
-std::uint64_t cone_truth(const Netlist& nl, NodeId root, const Cut& cut) {
-    std::unordered_map<NodeId, std::uint64_t> value;
-    for (int i = 0; i < cut.size; ++i) {
-        value[cut.leaves[static_cast<std::size_t>(i)]] = kVarMask[i];
-    }
-    auto eval = [&](auto&& self, NodeId id) -> std::uint64_t {
-        const auto it = value.find(id);
-        if (it != value.end()) {
-            return it->second;
+/// Append-only storage for every node's cuts.  A node's cuts are contiguous
+/// and never move once taken, and storage grows in equal fixed-size blocks,
+/// so no allocation scales with the netlist and successive mappings reuse
+/// freed blocks instead of growing the heap.
+class CutStore {
+public:
+    /// Room for `n` contiguous cuts.
+    Cut* take(std::size_t n) {
+        if (blocks_.empty() || blocks_.back().size() + n > blocks_.back().capacity()) {
+            blocks_.emplace_back().reserve(std::max(n, kBlockCuts));
         }
-        const auto& n = nl.node(id);
+        auto& block = blocks_.back();
+        block.resize(block.size() + n);  // within capacity: nothing moves
+        return block.data() + block.size() - n;
+    }
+
+private:
+    static constexpr std::size_t kBlockCuts = 2048;
+    std::vector<std::vector<Cut>> blocks_;
+};
+
+/// Truth tables of cones over their cut leaves, by recursive evaluation on
+/// the 6-variable minterm masks.  Values live in a dense NodeId-indexed
+/// scratch; an epoch stamp per call invalidates the previous cone's values.
+class ConeEvaluator {
+public:
+    explicit ConeEvaluator(const Netlist& nl)
+        : nl_{&nl}, value_(nl.node_count()), stamp_(nl.node_count(), 0) {}
+
+    std::uint64_t truth(NodeId root, const Cut& cut) {
+        ++epoch_;
+        for (int i = 0; i < cut.size; ++i) {
+            set(cut.leaves[static_cast<std::size_t>(i)], kVarMask[i]);
+        }
+        return eval(root);
+    }
+
+private:
+    void set(NodeId id, std::uint64_t v) {
+        value_[id] = v;
+        stamp_[id] = epoch_;
+    }
+
+    std::uint64_t eval(NodeId id) {
+        if (stamp_[id] == epoch_) {
+            return value_[id];
+        }
+        const auto& n = nl_->node(id);
         std::uint64_t v = 0;
         switch (n.kind) {
             case GateKind::Const0:
                 v = 0;
                 break;
             case GateKind::Input:
-                throw std::logic_error{"cone_truth: reached an input that is not a leaf"};
+                throw std::logic_error{"map_to_luts: a cone reached an input that is not a leaf"};
             case GateKind::And2:
-                v = self(self, n.a) & self(self, n.b);
+                v = eval(n.a) & eval(n.b);
                 break;
             case GateKind::Xor2:
-                v = self(self, n.a) ^ self(self, n.b);
+                v = eval(n.a) ^ eval(n.b);
                 break;
         }
-        value.emplace(id, v);
+        set(id, v);
         return v;
-    };
-    return eval(eval, root);
-}
+    }
+
+    const Netlist* nl_;
+    std::vector<std::uint64_t> value_;
+    std::vector<std::uint32_t> stamp_;
+    std::uint32_t epoch_ = 0;
+};
 
 }  // namespace
 
@@ -67,13 +109,20 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
     if (options.lut_inputs < 2 || options.lut_inputs > Cut::kMaxLeaves) {
         throw std::invalid_argument{"map_to_luts: lut_inputs must be in [2,6]"};
     }
+    if (options.cuts_per_node < 1) {
+        throw std::invalid_argument{"map_to_luts: cuts_per_node must be >= 1"};
+    }
     const int k = options.lut_inputs;
     const auto reachable = nl.reachable_from_outputs();
     const auto fanout = nl.fanout_counts();
 
     std::vector<NodeState> state(nl.node_count());
+    CutStore store;
+    const auto cuts_of = [&](NodeId id) { return std::span{state[id].cuts, state[id].count}; };
 
     // ---- Forward pass: priority cuts, depth-first ordering. ----
+    std::vector<Cut> candidates;
+    std::vector<const Cut*> kept;
     for (NodeId id = 0; id < nl.node_count(); ++id) {
         if (!reachable[id]) {
             continue;
@@ -84,7 +133,9 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
         if (n.kind == GateKind::Input || n.kind == GateKind::Const0) {
             st.best_depth = 0;
             st.area_flow = 0;
-            st.cuts.push_back(Cut::trivial(id));
+            st.cuts = store.take(1);
+            st.cuts[0] = Cut::trivial(id);
+            st.count = 1;
             continue;
         }
 
@@ -101,10 +152,10 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
             if (boundary) {
                 return {&trivial, 1};
             }
-            return {state[fanin].cuts.data(), state[fanin].cuts.size()};
+            return cuts_of(fanin);
         };
 
-        std::vector<Cut> candidates;
+        candidates.clear();
         for (const auto& ca : fanin_cuts(n.a, trivial_a)) {
             for (const auto& cb : fanin_cuts(n.b, trivial_b)) {
                 auto merged = Cut::merge(ca, cb, k);
@@ -133,17 +184,15 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
             }
             return x.size < y.size;
         });
-        std::vector<Cut> kept;
+        // A kept cut precedes c in that order, so its depth is never worse:
+        // c is redundant exactly when some kept cut's leaves are a subset
+        // of c's (identical leaf sets included).
+        kept.clear();
         for (const auto& c : candidates) {
-            bool redundant = false;
-            for (const auto& kc : kept) {
-                if (kc.same_leaves(c) || (kc.subset_of(c) && kc.depth <= c.depth)) {
-                    redundant = true;
-                    break;
-                }
-            }
+            const bool redundant = std::any_of(kept.begin(), kept.end(),
+                                               [&](const Cut* kc) { return kc->subset_of(c); });
             if (!redundant) {
-                kept.push_back(c);
+                kept.push_back(&c);
                 if (static_cast<int>(kept.size()) >= options.cuts_per_node) {
                     break;
                 }
@@ -160,20 +209,18 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
                 cheapest = &c;
             }
         }
-        bool have_cheapest = false;
-        for (const auto& kc : kept) {
-            if (kc.same_leaves(*cheapest)) {
-                have_cheapest = true;
-                break;
-            }
+        if (std::none_of(kept.begin(), kept.end(),
+                         [&](const Cut* kc) { return kc->same_leaves(*cheapest); })) {
+            kept.back() = cheapest;
         }
-        if (!have_cheapest) {
-            kept.back() = *cheapest;
+        st.best_depth = kept.front()->depth;
+        st.area_flow = kept.front()->area_flow / st.est_refs;
+        st.count = static_cast<std::uint32_t>(kept.size() + 1);
+        st.cuts = store.take(st.count);
+        for (std::size_t i = 0; i < kept.size(); ++i) {
+            st.cuts[i] = *kept[i];
         }
-        st.best_depth = kept.front().depth;
-        st.area_flow = kept.front().area_flow / st.est_refs;
-        st.cuts = std::move(kept);
-        st.cuts.push_back(Cut::trivial(id));  // visible to fanouts as a leaf
+        st.cuts[kept.size()] = Cut::trivial(id);  // visible to fanouts as a leaf
     }
 
     // ---- Required times. ----
@@ -187,10 +234,13 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
     // its required time; leaf "area" is an area-flow estimate whose reference
     // counts come from the previous round's actual cover (classic if-mapper
     // area iteration).  Depth never degrades: the depth-best cut always
-    // satisfies the required time.
+    // satisfies the required time.  The refresh writes each cut's area flow
+    // under the round's estimates onto the cut; the covering reads it back.
     std::vector<bool> used(nl.node_count(), false);
     std::vector<const Cut*> chosen(nl.node_count(), nullptr);
     std::vector<double> area_est(nl.node_count(), 0.0);
+    std::vector<int> required(nl.node_count());
+    std::vector<int> refs;
     const int rounds = options.area_recovery ? 3 : 1;
 
     for (int round = 0; round < rounds; ++round) {
@@ -206,7 +256,7 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
             }
             double best = 0.0;
             bool first = true;
-            for (const auto& c : state[id].cuts) {
+            for (Cut& c : cuts_of(id)) {
                 if (c.size == 1 && c.leaves[0] == id) {
                     continue;
                 }
@@ -214,6 +264,7 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
                 for (int i = 0; i < c.size; ++i) {
                     af += area_est[c.leaves[static_cast<std::size_t>(i)]];
                 }
+                c.area_flow = af;
                 if (first || af < best) {
                     best = af;
                     first = false;
@@ -222,7 +273,7 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
             area_est[id] = best / state[id].est_refs;
         }
 
-        std::vector<int> required(nl.node_count(), kInfinity);
+        std::fill(required.begin(), required.end(), kInfinity);
         std::fill(used.begin(), used.end(), false);
         for (const auto& out : nl.outputs()) {
             required[out.node] = global_depth;
@@ -235,10 +286,8 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
             if (!used[idp]) {
                 continue;
             }
-            const auto& st = state[idp];
             const Cut* pick = nullptr;
-            double pick_area = 0.0;
-            for (const auto& c : st.cuts) {
+            for (const Cut& c : cuts_of(idp)) {
                 if (c.size == 1 && c.leaves[0] == idp) {
                     continue;  // trivial cut cannot implement its own node
                 }
@@ -249,18 +298,13 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
                 if (c.depth > required[idp]) {
                     continue;
                 }
-                double af = 1.0;
-                for (int i = 0; i < c.size; ++i) {
-                    af += area_est[c.leaves[static_cast<std::size_t>(i)]];
-                }
-                if (pick == nullptr || af < pick_area ||
-                    (af == pick_area && c.depth < pick->depth)) {
+                if (pick == nullptr || c.area_flow < pick->area_flow ||
+                    (c.area_flow == pick->area_flow && c.depth < pick->depth)) {
                     pick = &c;
-                    pick_area = af;
                 }
             }
             if (pick == nullptr) {
-                pick = &st.cuts.front();  // depth-best always meets required
+                pick = state[idp].cuts;  // depth-best always meets required
             }
             chosen[idp] = pick;
             for (int i = 0; i < pick->size; ++i) {
@@ -275,7 +319,7 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
 
         if (round + 1 < rounds) {
             // Re-estimate reference counts from the actual cover.
-            std::vector<int> refs(nl.node_count(), 0);
+            refs.assign(nl.node_count(), 0);
             for (NodeId id = 0; id < nl.node_count(); ++id) {
                 if (!used[id] || chosen[id] == nullptr) {
                     continue;
@@ -303,6 +347,7 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
         net.input_names.push_back(nl.inputs()[i].name);
         ref[nl.inputs()[i].node] = static_cast<std::int32_t>(i);
     }
+    ConeEvaluator cones{nl};
     for (NodeId id = 0; id < nl.node_count(); ++id) {
         if (!used[id]) {
             continue;
@@ -313,7 +358,7 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
         for (int i = 0; i < cut.size; ++i) {
             lut.fanins.push_back(ref[cut.leaves[static_cast<std::size_t>(i)]]);
         }
-        lut.truth = cone_truth(nl, id, cut);
+        lut.truth = cones.truth(id, cut);
         ref[id] = static_cast<std::int32_t>(net.input_names.size() + net.luts.size());
         net.luts.push_back(std::move(lut));
     }

@@ -26,7 +26,7 @@ namespace gfr::fpga {
 
 struct MapperOptions {
     int lut_inputs = 6;     ///< K (Artix-7 LUT6)
-    int cuts_per_node = 8;  ///< priority cut list length
+    int cuts_per_node = 8;  ///< priority cut list length (>= 1)
     bool area_recovery = true;
     /// Treat every multi-fanout gate as a hard LUT boundary (no duplication
     /// of shared logic into consumers).  This is how a synthesis tool maps
@@ -37,7 +37,8 @@ struct MapperOptions {
 };
 
 /// Map the reachable logic of `nl` into a LUT network.  Primary input order
-/// and output names/order are preserved.
+/// and output names/order are preserved.  Throws std::invalid_argument
+/// unless 2 <= lut_inputs <= 6 and cuts_per_node >= 1.
 LutNetwork map_to_luts(const netlist::Netlist& nl, const MapperOptions& options = {});
 
 }  // namespace gfr::fpga

@@ -25,6 +25,11 @@ void Netlist::check_capacity() const {
     }
 }
 
+void Netlist::reserve(std::size_t nodes) {
+    nodes_.reserve(nodes);
+    structural_hash_.reserve(nodes);
+}
+
 NodeId Netlist::add_input(std::string name) {
     if (input_index(name) >= 0) {
         throw std::invalid_argument{"Netlist::add_input: duplicate input name " + name};

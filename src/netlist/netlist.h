@@ -113,6 +113,9 @@ public:
 
     // --- Construction ----------------------------------------------------
 
+    /// Pre-size node storage and the structural hash for `nodes` nodes.
+    void reserve(std::size_t nodes);
+
     /// New primary input.  Names must be unique (checked).
     NodeId add_input(std::string name);
 

@@ -1,6 +1,8 @@
 #include "netlist/passes.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -14,8 +16,10 @@ namespace gfr::netlist {
 namespace {
 
 /// Copies all inputs of `src` into `dst` (same order) and returns the
-/// old-id -> new-id map seeded with those inputs.
+/// old-id -> new-id map seeded with those inputs.  `dst` is sized for a
+/// rebuild of about the source's size.
 std::vector<NodeId> seed_inputs(const Netlist& src, Netlist& dst) {
+    dst.reserve(src.node_count());
     std::vector<NodeId> memo(src.node_count(), kInvalidNode);
     for (const auto& port : src.inputs()) {
         memo[port.node] = dst.add_input(port.name);
@@ -105,30 +109,39 @@ public:
             return nl_->const0();
         }
         sync();
-        using Item = std::tuple<int, int, NodeId>;  // (depth, tiebreak, node)
-        const auto cmp = [](const Item& a, const Item& b) {
-            return std::tie(std::get<0>(a), std::get<1>(a)) >
-                   std::tie(std::get<0>(b), std::get<1>(b));
+        // Min-heap on (depth, tiebreak) over storage reused across calls.
+        const auto later = [](const Item& a, const Item& b) {
+            return std::tie(a.depth, a.seq) > std::tie(b.depth, b.seq);
         };
-        std::priority_queue<Item, std::vector<Item>, decltype(cmp)> heap{cmp};
+        heap_.clear();
         int seq = 0;
         for (const NodeId leaf : leaves) {
-            heap.emplace(depth_[leaf], seq++, leaf);
+            heap_.push_back({depth_[leaf], seq++, leaf});
+            std::push_heap(heap_.begin(), heap_.end(), later);
         }
-        while (heap.size() > 1) {
-            const auto [da, sa, na] = heap.top();
-            heap.pop();
-            const auto [db, sb, nb] = heap.top();
-            heap.pop();
-            const NodeId combined = nl_->make_xor(na, nb);
-            heap.emplace(std::max(da, db) + 1, seq++, combined);
+        while (heap_.size() > 1) {
+            std::pop_heap(heap_.begin(), heap_.end(), later);
+            const Item x = heap_.back();
+            heap_.pop_back();
+            std::pop_heap(heap_.begin(), heap_.end(), later);
+            const Item y = heap_.back();
+            heap_.pop_back();
+            const NodeId combined = nl_->make_xor(x.node, y.node);
+            heap_.push_back({std::max(x.depth, y.depth) + 1, seq++, combined});
+            std::push_heap(heap_.begin(), heap_.end(), later);
         }
-        const NodeId root = std::get<2>(heap.top());
+        const NodeId root = heap_.front().node;
         sync();
         return root;
     }
 
 private:
+    struct Item {
+        int depth;
+        int seq;
+        NodeId node;
+    };
+
     void sync() {
         for (NodeId id = static_cast<NodeId>(depth_.size()); id < nl_->node_count();
              ++id) {
@@ -151,6 +164,7 @@ private:
 
     Netlist* nl_;
     std::vector<int> depth_;
+    std::vector<Item> heap_;
 };
 
 /// Builds XOR trees that map *perfectly* onto K-input LUTs: leaves are
@@ -159,152 +173,217 @@ private:
 /// style (lowest LUT level first).  This is technology-aware tree
 /// construction — the restructuring a LUT-oriented synthesis tool performs
 /// on flat XOR equations.
+///
+/// Allocation-free in steady state: supports are fixed arrays of <= 6 ids
+/// with a 64-bit signature, memoized in dense NodeId-indexed caches, and the
+/// work list is kept sorted by (level, insertion order) across rounds.
 class LutAwareXorBuilder {
 public:
     explicit LutAwareXorBuilder(Netlist& nl) : nl_{&nl} {}
 
-    static constexpr std::size_t kLutInputs = 6;
+    static constexpr int kLutInputs = 6;
 
     NodeId build(const std::vector<NodeId>& leaves) {
         if (leaves.empty()) {
             return nl_->const0();
         }
-        // (lut level, insertion order, node); re-sorted by level each round.
-        std::vector<std::tuple<int, int, NodeId>> items;
-        items.reserve(leaves.size());
+        items_.clear();
         int seq = 0;
         for (const NodeId leaf : leaves) {
-            items.emplace_back(level_of(leaf), seq++, leaf);
+            const int level = level_of(leaf);
+            items_.push_back(Item{level, seq++, leaf, false, effective_support(leaf)});
         }
-        while (items.size() > 1) {
-            std::sort(items.begin(), items.end());
+        // (level, seq) keys are unique, so this order is fully determined;
+        // each round below keeps it by compaction plus one in-order insert.
+        std::sort(items_.begin(), items_.end(), [](const Item& x, const Item& y) {
+            return std::tie(x.level, x.seq) < std::tie(y.level, y.seq);
+        });
+        while (items_.size() > 1) {
             // Seed the chunk with the shallowest item, then repeatedly absorb
             // the remaining item sharing the most wires with the chunk (e.g.
             // several partial products over the same few a/b wires land in
-            // one LUT), while the union support fits.
-            std::vector<NodeId> chunk{std::get<2>(items[0])};
-            std::vector<NodeId> support = effective_support(std::get<2>(items[0]));
-            int chunk_level = std::get<0>(items[0]);
-            std::vector<std::size_t> taken{0};
-            std::vector<bool> in_chunk(items.size(), false);
-            in_chunk[0] = true;
-            while (support.size() < kLutInputs) {
-                std::size_t best = items.size();
+            // one LUT), while the union support fits.  Ties go to the
+            // earliest item.
+            chunk_.assign(1, items_[0].node);
+            Support support = items_[0].support;
+            int chunk_level = items_[0].level;
+            items_[0].taken = true;
+            while (support.size < kLutInputs) {
+                std::size_t best = items_.size();
                 int best_overlap = -1;
-                std::vector<NodeId> best_merged;
-                for (std::size_t i = 1; i < items.size(); ++i) {
-                    if (in_chunk[i]) {
+                for (std::size_t i = 1; i < items_.size(); ++i) {
+                    const Item& item = items_[i];
+                    if (item.taken) {
                         continue;
                     }
-                    const auto node_support = effective_support(std::get<2>(items[i]));
-                    auto merged = merge_supports(support, node_support);
-                    if (merged.size() > kLutInputs) {
-                        continue;
-                    }
-                    const int overlap = static_cast<int>(support.size()) +
-                                        static_cast<int>(node_support.size()) -
-                                        static_cast<int>(merged.size());
+                    const int overlap = fitting_overlap(support, item.support);
                     if (overlap > best_overlap) {
                         best_overlap = overlap;
                         best = i;
-                        best_merged = std::move(merged);
                     }
                 }
-                if (best == items.size()) {
+                if (best == items_.size()) {
                     break;  // nothing else fits
                 }
-                in_chunk[best] = true;
-                support = std::move(best_merged);
-                chunk.push_back(std::get<2>(items[best]));
-                chunk_level = std::max(chunk_level, std::get<0>(items[best]));
-                taken.push_back(best);
+                Item& absorbed = items_[best];
+                absorbed.taken = true;
+                support = merge_supports(support, absorbed.support);
+                chunk_.push_back(absorbed.node);
+                chunk_level = std::max(chunk_level, absorbed.level);
             }
-            std::sort(taken.begin(), taken.end());
             NodeId root = kInvalidNode;
             int root_level = 0;
-            if (chunk.size() == 1) {
+            if (chunk_.size() == 1) {
                 // Nothing fits beside it (an already-wide wire): pair the two
                 // shallowest wires instead so the loop always progresses.
-                root = nl_->make_xor(std::get<2>(items[0]), std::get<2>(items[1]));
-                root_level =
-                    std::max(std::get<0>(items[0]), std::get<0>(items[1])) + 1;
-                taken.push_back(1);
+                root = nl_->make_xor(items_[0].node, items_[1].node);
+                root_level = std::max(items_[0].level, items_[1].level) + 1;
+                items_[1].taken = true;
             } else {
-                root = nl_->make_xor_tree(chunk, TreeShape::Balanced);
+                root = nl_->make_xor_tree(chunk_, TreeShape::Balanced);
                 root_level = chunk_level + 1;
-                support_cache_[root] = support;  // chunk root cone fits one LUT
             }
-            level_cache_[root] = root_level;
-            // Remove consumed items (indices ascending), append the new root.
-            for (std::size_t t = taken.size(); t-- > 0;) {
-                items.erase(items.begin() + static_cast<std::ptrdiff_t>(taken[t]));
+            grow_caches();
+            if (chunk_.size() > 1) {
+                support_[root] = support;  // chunk root cone fits one LUT
             }
-            items.emplace_back(root_level, seq++, root);
+            level_[root] = root_level;
+            std::erase_if(items_, [](const Item& item) { return item.taken; });
+            const auto at = std::upper_bound(
+                items_.begin(), items_.end(), root_level,
+                [](int level, const Item& item) { return level < item.level; });
+            items_.insert(at, Item{root_level, seq++, root, false, effective_support(root)});
         }
-        return std::get<2>(items[0]);
+        return items_[0].node;
     }
 
 private:
+    /// Support size meaning "none": not computed yet in the cache, or
+    /// wider than one LUT as a merge result.
+    static constexpr std::uint8_t kNoSupport = 0xFF;
+
+    /// Sorted input wires of a cone (at most kLutInputs) plus a 64-bit
+    /// signature: one hashed bit per id, so popcount(sig) <= size.
+    struct Support {
+        std::array<NodeId, kLutInputs> ids{};
+        std::uint8_t size = kNoSupport;
+        std::uint64_t sig = 0;
+    };
+
+    /// A work-list entry.  The support is copied in once: a node's support
+    /// never changes (the value stored at a chunk root is the union its
+    /// fanins give anyway).
+    struct Item {
+        int level;
+        int seq;
+        NodeId node;
+        bool taken;  ///< absorbed into this round's chunk
+        Support support;
+    };
+
+    static Support singleton(NodeId id) {
+        Support s;
+        s.ids[0] = id;
+        s.size = 1;
+        s.sig = std::uint64_t{1} << ((id * 0x9E3779B97F4A7C15ULL) >> 58U);
+        return s;
+    }
+
+    /// |a & b| when |a | b| fits one LUT, -1 otherwise.  The signature
+    /// union's popcount never exceeds the union's size, so a popcount over
+    /// kLutInputs rejects exactly.
+    static int fitting_overlap(const Support& a, const Support& b) {
+        if ((a.sig & b.sig) == 0) {
+            return a.size + b.size <= kLutInputs ? 0 : -1;  // no common id
+        }
+        if (std::popcount(a.sig | b.sig) > kLutInputs) {
+            return -1;
+        }
+        std::array<NodeId, kLutInputs> common{};
+        const auto overlap = static_cast<int>(
+            std::set_intersection(a.ids.begin(), a.ids.begin() + a.size, b.ids.begin(),
+                                  b.ids.begin() + b.size, common.begin()) -
+            common.begin());
+        return a.size + b.size - overlap <= kLutInputs ? overlap : -1;
+    }
+
+    /// Sorted union of two supports; size kNoSupport when it exceeds one LUT.
+    static Support merge_supports(const Support& a, const Support& b) {
+        std::array<NodeId, 2 * kLutInputs> both{};
+        const auto size = static_cast<int>(
+            std::set_union(a.ids.begin(), a.ids.begin() + a.size, b.ids.begin(),
+                           b.ids.begin() + b.size, both.begin()) -
+            both.begin());
+        Support out;
+        if (size <= kLutInputs) {
+            std::copy_n(both.begin(), size, out.ids.begin());
+            out.size = static_cast<std::uint8_t>(size);
+            out.sig = a.sig | b.sig;
+        }
+        return out;
+    }
+
+    void grow_caches() {
+        if (support_.size() < nl_->node_count()) {
+            support_.resize(nl_->node_count());
+            level_.resize(nl_->node_count(), -1);
+        }
+    }
+
     /// Input wires a cone needs if absorbed into a LUT; {self} when the cone
     /// is already wider than one LUT (it becomes a LUT output wire).
-    std::vector<NodeId> effective_support(NodeId id) {
-        const auto it = support_cache_.find(id);
-        if (it != support_cache_.end()) {
-            return it->second;
+    Support effective_support(NodeId id) {
+        grow_caches();
+        if (support_[id].size != kNoSupport) {
+            return support_[id];
         }
         const Node& n = nl_->node(id);
-        std::vector<NodeId> result;
+        Support result;
         switch (n.kind) {
             case GateKind::Input:
-                result = {id};
+                result = singleton(id);
                 break;
             case GateKind::Const0:
-                result = {};
+                result.size = 0;
                 break;
             case GateKind::And2:
             case GateKind::Xor2: {
                 result = merge_supports(effective_support(n.a), effective_support(n.b));
-                if (result.size() > kLutInputs) {
-                    result = {id};  // too wide: a LUT boundary forms here
+                if (result.size == kNoSupport) {
+                    result = singleton(id);  // too wide: a LUT boundary forms here
                 }
                 break;
             }
         }
-        support_cache_.emplace(id, result);
+        support_[id] = result;
         return result;
     }
 
     /// LUT levels this cone needs (0 = wire/input, 1 = fits one LUT, ...).
     int level_of(NodeId id) {
-        const auto it = level_cache_.find(id);
-        if (it != level_cache_.end()) {
-            return it->second;
+        grow_caches();
+        if (level_[id] >= 0) {
+            return level_[id];
         }
         const Node& n = nl_->node(id);
         int level = 0;
         if (n.kind == GateKind::And2 || n.kind == GateKind::Xor2) {
-            const auto support = effective_support(id);
-            if (!(support.size() == 1 && support[0] == id)) {
+            const Support support = effective_support(id);
+            if (!(support.size == 1 && support.ids[0] == id)) {
                 level = 1;  // whole cone absorbable into one LUT
             } else {
                 level = 1 + std::max(level_of(n.a), level_of(n.b));
             }
         }
-        level_cache_.emplace(id, level);
+        level_[id] = level;
         return level;
     }
 
-    static std::vector<NodeId> merge_supports(const std::vector<NodeId>& a,
-                                              const std::vector<NodeId>& b) {
-        std::vector<NodeId> out;
-        out.reserve(a.size() + b.size());
-        std::set_union(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-        return out;
-    }
-
     Netlist* nl_;
-    std::unordered_map<NodeId, std::vector<NodeId>> support_cache_;
-    std::unordered_map<NodeId, int> level_cache_;
+    std::vector<Support> support_;  ///< by NodeId; size kNoSupport = not computed yet
+    std::vector<int> level_;        ///< by NodeId; -1 = not yet computed
+    std::vector<Item> items_;       ///< work list, sorted by (level, seq)
+    std::vector<NodeId> chunk_;
 };
 
 }  // namespace

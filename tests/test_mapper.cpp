@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
 
 namespace gfr::fpga {
 namespace {
@@ -128,6 +129,20 @@ TEST(Mapper, InvalidKThrows) {
     EXPECT_THROW(static_cast<void>(map_to_luts(nl, opts)), std::invalid_argument);
 }
 
+TEST(Mapper, InvalidCutsPerNodeThrows) {
+    netlist::Netlist nl;
+    const auto a = nl.add_input("a");
+    nl.add_output("y", nl.make_and(a, nl.add_input("b")));
+    MapperOptions opts;
+    for (const int cuts : {0, -1}) {
+        opts.cuts_per_node = cuts;
+        EXPECT_THROW(static_cast<void>(map_to_luts(nl, opts)), std::invalid_argument)
+            << "cuts_per_node=" << cuts;
+    }
+    opts.cuts_per_node = 1;
+    EXPECT_EQ(map_to_luts(nl, opts).lut_count(), 1);
+}
+
 TEST(Mapper, OutputAliasingInput) {
     netlist::Netlist nl;
     const auto a = nl.add_input("a");
@@ -183,6 +198,38 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string{mult::method_info(info.param.first).key} + "_m" +
                std::to_string(info.param.second.first);
     });
+
+void expect_same_network(const LutNetwork& x, const LutNetwork& y) {
+    EXPECT_EQ(x.input_names, y.input_names);
+    EXPECT_EQ(x.outputs, y.outputs);
+    ASSERT_EQ(x.luts.size(), y.luts.size());
+    for (std::size_t i = 0; i < x.luts.size(); ++i) {
+        EXPECT_EQ(x.luts[i].fanins, y.luts[i].fanins) << "LUT " << i;
+        EXPECT_EQ(x.luts[i].truth, y.luts[i].truth) << "LUT " << i;
+    }
+}
+
+TEST(Mapper, RepeatedAndConcurrentCallsAgree) {
+    // The mapper keeps per-call scratch (cut store, candidate buffers, cone
+    // values); none of it may leak between calls or be shared by threads.
+    const field::Field fld = field::Field::type2(64, 23);
+    const auto nl = mult::build_multiplier(mult::Method::Imana2016Paren, fld);
+    for (const bool boundaries : {false, true}) {
+        MapperOptions opts;
+        opts.respect_fanout_boundaries = boundaries;
+        const LutNetwork first = map_to_luts(nl, opts);
+        const LutNetwork second = map_to_luts(nl, opts);
+        auto run = [&] { return map_to_luts(nl, opts); };
+        auto t0 = std::async(std::launch::async, run);
+        auto t1 = std::async(std::launch::async, run);
+        const LutNetwork from_threads[2] = {t0.get(), t1.get()};
+        SCOPED_TRACE(boundaries ? "with boundaries" : "without boundaries");
+        expect_same_network(first, second);
+        expect_same_network(first, from_threads[0]);
+        expect_same_network(first, from_threads[1]);
+        expect_same_function(nl, first, 4);
+    }
+}
 
 TEST(Mapper, AreaRecoveryNeverIncreasesDepth) {
     const field::Field fld = field::gf256_paper_field();
