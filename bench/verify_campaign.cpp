@@ -11,22 +11,17 @@
 // Part 2 — exhaustive GF(2^8) ladder: all 2^16 products of the paper's
 // worked field, swept per tape backend (scalar / AVX2 / AVX-512, whichever
 // this build+CPU can run) x batching width {1, 4, 8, 16}, all at 1 thread.
-// The frozen baseline is the PR-5 loop replicated verbatim below (same
-// doctrine as the interpreter anchors): scalar tape at the PR-5 batching
-// width of 4, per-block LaneReference check (the fused sweep oracle is a
-// PR-9 construct), and the exhaustive fill paying the out-of-line
-// pattern-generator call the pre-PR-9 build paid — PR-9 both restructured
-// the check and inlined the fill, and letting the baseline inherit either
-// would deflate every speedup.  The PR-2 path (single-threaded interpretive
-// sweep loop, per-lane transpose, engine mul_region, per-bit compare) rides
-// along verbatim as the deep-history anchor.
+// The one frozen baseline is the PR-5 loop replicated verbatim below:
+// scalar tape at the PR-5 batching width of 4, per-block LaneReference
+// check (the fused sweep oracle is a PR-9 construct), and the exhaustive
+// fill paying the out-of-line pattern-generator call the pre-PR-9 build
+// paid — PR-9 both restructured the check and inlined the fill, and letting
+// the baseline inherit either would deflate every speedup.
 //
 // Part 3 — random-regime GF(2^163) ladder, same grid: frozen baseline is
 // the same PR-5 loop at width 1 (random sweeps were unbatched before PR-9;
 // the random fill was header-inline then as now, so only the check
-// structure differs from today's scalar point), with the PR-3 interpretive
-// path (node-by-node Simulator + 64 per-lane engine products per sweep,
-// frozen verbatim below) as anchor.
+// structure differs from today's scalar point).
 //
 // Every ladder point measures CAMPAIGN EXECUTION on a prepared verifier:
 // tape compilation and oracle anchoring are one-time setup, hoisted out of
@@ -46,11 +41,9 @@
 #include "multipliers/generator.h"
 #include "multipliers/verify.h"
 #include "netlist/clone.h"
-#include "netlist/simulate.h"
 #include "verify/campaign.h"
 #include "verify/lane_reference.h"
 
-#include <array>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -71,151 +64,10 @@ double seconds_since(Clock::time_point t0) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// The pre-PR-4 Simulator::run_into, verbatim with its reused value buffer:
-/// the node-by-node interpretation both frozen interpreter anchors below
-/// are pinned to (using today's compiled Simulator would silently speed
-/// them up).
-void interpret_netlist(const netlist::Netlist& nl,
-                       std::span<const std::uint64_t> in_words,
-                       std::vector<std::uint64_t>& values,
-                       std::vector<std::uint64_t>& out_words) {
-    values.assign(nl.node_count(), 0);
-    for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-        values[nl.inputs()[i].node] = in_words[i];
-    }
-    for (netlist::NodeId id = 0; id < nl.node_count(); ++id) {
-        const netlist::Node& n = nl.node(id);
-        switch (n.kind) {
-            case netlist::GateKind::Input:
-            case netlist::GateKind::Const0:
-                break;
-            case netlist::GateKind::And2:
-                values[id] = values[n.a] & values[n.b];
-                break;
-            case netlist::GateKind::Xor2:
-                values[id] = values[n.a] ^ values[n.b];
-                break;
-        }
-    }
-    for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
-        out_words[o] = values[nl.outputs()[o].node];
-    }
-}
-
-/// The PR-2 exhaustive verification path, frozen: one thread, interpretive
-/// simulation, transposing every sweep's 64 lanes into u64 operands,
-/// batching the reference products through FieldOps::mul_region, then
-/// comparing bit by bit.  Kept byte-for-byte equivalent to the pre-campaign
-/// implementation so BENCH_N speedups stay anchored to the same baseline
-/// over time.
-bool pr2_exhaustive_verify(const netlist::Netlist& nl, const field::Field& field) {
-    const int m = field.degree();
-    std::vector<std::uint64_t> values;  // interpreter state, reused per sweep
-    std::vector<std::uint64_t> in_words(static_cast<std::size_t>(2 * m), 0);
-    std::vector<std::uint64_t> out_words(static_cast<std::size_t>(m), 0);
-    std::array<std::uint64_t, 64> a_lanes{};
-    std::array<std::uint64_t, 64> b_lanes{};
-    std::array<std::uint64_t, 64> expected{};
-
-    const std::uint64_t blocks = (2 * m <= 6) ? 1 : (std::uint64_t{1} << (2 * m - 6));
-    for (std::uint64_t block = 0; block < blocks; ++block) {
-        for (int i = 0; i < 2 * m; ++i) {
-            in_words[static_cast<std::size_t>(i)] = netlist::exhaustive_pattern(i, block);
-        }
-        interpret_netlist(nl, in_words, values, out_words);
-        for (int lane = 0; lane < 64; ++lane) {
-            std::uint64_t a = 0;
-            std::uint64_t b = 0;
-            for (int i = 0; i < m; ++i) {
-                a |= ((in_words[static_cast<std::size_t>(i)] >> lane) & std::uint64_t{1})
-                     << i;
-                b |= ((in_words[static_cast<std::size_t>(m + i)] >> lane) &
-                      std::uint64_t{1})
-                     << i;
-            }
-            a_lanes[static_cast<std::size_t>(lane)] = a;
-            b_lanes[static_cast<std::size_t>(lane)] = b;
-        }
-        field.ops().mul_region(a_lanes, b_lanes, expected);
-        for (int lane = 0; lane < 64; ++lane) {
-            const std::uint64_t want = expected[static_cast<std::size_t>(lane)];
-            for (int k = 0; k < m; ++k) {
-                const bool got_bit =
-                    (out_words[static_cast<std::size_t>(k)] >> lane) & 1U;
-                const bool want_bit = (want >> k) & 1U;
-                if (got_bit != want_bit) {
-                    return false;
-                }
-            }
-        }
-    }
-    return true;
-}
-
-/// The PR-3 random-regime multi-word verification path, frozen: one thread;
-/// per sweep, a node-by-node interpretive simulation (the pre-PR-4
-/// Simulator semantics, inlined verbatim with its reused value buffer) and
-/// then, per lane, two bit-transposed operand extractions, one engine
-/// product and a bit-gathered compare.
-bool pr3_random_verify(const netlist::Netlist& nl, const field::Field& field,
-                       std::uint64_t seed, int sweeps) {
-    const int m = field.degree();
-    const std::size_t wn = static_cast<std::size_t>((m + 63) / 64);
-    std::vector<std::uint64_t> values;  // interpreter state, reused per sweep
-    std::vector<std::uint64_t> in_words(static_cast<std::size_t>(2 * m), 0);
-    std::vector<std::uint64_t> out_words(static_cast<std::size_t>(m), 0);
-    std::vector<std::uint64_t> bits;
-    std::vector<std::uint64_t> got_bits;
-    gf2::Poly a_elem;
-    gf2::Poly b_elem;
-    gf2::Poly product;
-    field::FieldOps::Scratch scratch;
-
-    const auto element_from_lane = [&](int offset, int lane, gf2::Poly& out) {
-        bits.assign(wn, 0);
-        for (int i = 0; i < m; ++i) {
-            if ((in_words[static_cast<std::size_t>(offset + i)] >> lane) & 1U) {
-                bits[static_cast<std::size_t>(i / 64)] |= std::uint64_t{1} << (i % 64);
-            }
-        }
-        out.assign_words(bits);
-    };
-
-    for (int sweep = 0; sweep < sweeps; ++sweep) {
-        verify::SweepRng rng{verify::Campaign::derive_sweep_seed(
-            seed, static_cast<std::uint64_t>(sweep))};
-        for (auto& word : in_words) {
-            word = rng();
-        }
-        interpret_netlist(nl, in_words, values, out_words);
-        // Per-lane engine compare, PR-3 check_sweep multi-word verbatim.
-        for (int lane = 0; lane < 64; ++lane) {
-            element_from_lane(0, lane, a_elem);
-            element_from_lane(m, lane, b_elem);
-            field.ops().mul(a_elem, b_elem, product, scratch);
-            got_bits.assign(wn, 0);
-            for (int k = 0; k < m; ++k) {
-                if ((out_words[static_cast<std::size_t>(k)] >> lane) & 1U) {
-                    got_bits[static_cast<std::size_t>(k / 64)] |= std::uint64_t{1}
-                                                                  << (k % 64);
-                }
-            }
-            const auto pw = product.words();
-            for (std::size_t word = 0; word < wn; ++word) {
-                const std::uint64_t want_w = word < pw.size() ? pw[word] : 0;
-                if ((got_bits[word] ^ want_w) != 0) {
-                    return false;
-                }
-            }
-        }
-    }
-    return true;
-}
-
 struct ThroughputPoint {
     std::string label;
-    std::string backend;  ///< "interpreter" for the frozen anchors
-    int width = 0;        ///< batching width (0 for the interpreter anchors)
+    std::string backend;
+    int width = 0;  ///< batching width
     int threads = 1;
     double seconds = 0;
     double products_per_sec = 0;
@@ -358,8 +210,7 @@ std::optional<std::string> Pr5Verifier::run(bool exhaustive, int width,
     const std::uint64_t total_blocks =
         exhaustive ? ((2 * m <= 6) ? 1 : (std::uint64_t{1} << (2 * m - 6)))
                    : static_cast<std::uint64_t>(sweeps);
-    const exec::BlockGrouping grouping =
-        exec::BlockGrouping::over(total_blocks, true, width);
+    const exec::BlockGrouping grouping = exec::BlockGrouping::over(total_blocks, width);
     exec::Program::Scratch scratch;
     std::vector<std::uint64_t> in(n_in * static_cast<std::size_t>(grouping.group), 0);
     std::vector<std::uint64_t> out(n_out * static_cast<std::size_t>(grouping.group), 0);
@@ -474,8 +325,7 @@ void print_ladder(const char* title, const std::vector<ThroughputPoint>& ladder,
         std::printf("%-22s %6d %12.6f %16.0f %8.2fx  %s%s\n", p.label.c_str(),
                     p.width, p.seconds, p.products_per_sec,
                     baseline_seconds / p.seconds, p.ok ? "" : "(VERIFY FAILED) ",
-                    p.width == 0 ? "(anchor, ungated)"
-                                 : (p.repro_invariant ? "" : "(REPRO DRIFTED)"));
+                    p.repro_invariant ? "" : "(REPRO DRIFTED)");
     }
 }
 
@@ -506,7 +356,7 @@ void json_ladder(std::FILE* json, const char* key, double products,
 const ThroughputPoint* best_gated(const std::vector<ThroughputPoint>& ladder) {
     const ThroughputPoint* best = nullptr;
     for (const auto& p : ladder) {
-        if (p.width == 0 || !p.ok || !p.repro_invariant) {
+        if (!p.ok || !p.repro_invariant) {
             continue;
         }
         if (best == nullptr || p.products_per_sec > best->products_per_sec) {
@@ -576,19 +426,11 @@ int main(int argc, char** argv) {
     const std::string repro8 = reference_repro(spec8);
 
     std::vector<ThroughputPoint> ladder8 = run_ladder(spec8, repro8);
-    {
-        // Deep-history anchor: the PR-2 interpretive path, unchanged.
-        ThroughputPoint pr2 = measure(
-            "pr2_interpreter", spec8.products,
-            [&] { return pr2_exhaustive_verify(nl8, gf256); }, kRepeats8);
-        pr2.backend = "interpreter";
-        ladder8.insert(ladder8.begin(), std::move(pr2));
-    }
     // The frozen PR-5 loop: scalar tape, batching width 4, per-block check,
     // out-of-line exhaustive fill.
     ThroughputPoint pr5_8 = measure_pr5(spec8, true, 4, repro8);
     const double base8 = pr5_8.seconds;
-    ladder8.insert(ladder8.begin() + 1, std::move(pr5_8));
+    ladder8.insert(ladder8.begin(), std::move(pr5_8));
     print_ladder("Exhaustive GF(2^8) space: 65536 products", ladder8, base8,
                  kRepeats8);
 
@@ -612,23 +454,11 @@ int main(int argc, char** argv) {
     const std::string repro163 = reference_repro(spec163);
 
     std::vector<ThroughputPoint> ladder163 = run_ladder(spec163, repro163);
-    {
-        // Deep-history anchor: the PR-3 interpretive path, unchanged.
-        ThroughputPoint pr3 = measure(
-            "pr3_interpreter", spec163.products,
-            [&] {
-                return pr3_random_verify(nl163, gf163, spec163.base_opts.seed,
-                                         kSweeps163);
-            },
-            kRepeats163);
-        pr3.backend = "interpreter";
-        ladder163.insert(ladder163.begin(), std::move(pr3));
-    }
     // The frozen PR-5 loop: scalar tape, unbatched random sweeps, per-block
     // check.
     ThroughputPoint pr5_163 = measure_pr5(spec163, false, 1, repro163);
     const double base163 = pr5_163.seconds;
-    ladder163.insert(ladder163.begin() + 1, std::move(pr5_163));
+    ladder163.insert(ladder163.begin(), std::move(pr5_163));
     print_ladder("Random-regime GF(2^163): 16384 products", ladder163, base163,
                  kRepeats163);
     std::printf(
@@ -695,7 +525,7 @@ int main(int argc, char** argv) {
     }
     for (const auto* ladder : {&ladder8, &ladder163}) {
         for (const auto& p : *ladder) {
-            if (!p.ok || (p.width != 0 && !p.repro_invariant)) {
+            if (!p.ok || !p.repro_invariant) {
                 return 1;
             }
         }

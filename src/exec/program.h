@@ -220,23 +220,22 @@ struct BlockGrouping {
     int group = 1;  ///< blocks per full sweep
     std::uint64_t total_sweeps = 0;
 
-    /// batched=true groups up to min(kMaxBlocks, max_group) blocks per
-    /// sweep; false keeps the 1:1 sweep-to-block layout.
+    /// Groups up to min(kMaxBlocks, max_group) blocks per sweep; max_group
+    /// = 1 keeps the 1:1 sweep-to-block layout.
     ///
     /// Empty-space contract (pinned by tests): total_blocks == 0 yields
     /// group == 1 and total_sweeps == 0 — a degenerate-but-valid grouping
     /// whose sweep loop runs zero times, so first_block/blocks_in_sweep are
     /// never consulted and the group value only has to satisfy the
     /// "positive blocks-per-pass" invariant run() requires.
-    static BlockGrouping over(std::uint64_t total_blocks, bool batched,
+    static BlockGrouping over(std::uint64_t total_blocks,
                               int max_group = Program::kMaxBlocks) noexcept {
         BlockGrouping g;
         g.total_blocks = total_blocks;
         const auto cap = static_cast<std::uint64_t>(
             std::clamp(max_group, 1, Program::kMaxBlocks));
-        g.group = batched ? static_cast<int>(std::min<std::uint64_t>(
-                                cap, total_blocks > 0 ? total_blocks : 1))
-                          : 1;
+        g.group = static_cast<int>(
+            std::min<std::uint64_t>(cap, total_blocks > 0 ? total_blocks : 1));
         g.total_sweeps = (total_blocks + static_cast<std::uint64_t>(g.group) - 1) /
                          static_cast<std::uint64_t>(g.group);
         return g;

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -21,60 +20,36 @@ using field::Field;
 using gf2::Poly;
 
 std::string VerifyFailure::to_string() const {
-    std::string out = "c" + std::to_string(coefficient) + " mismatch: netlist=" +
-                      std::to_string(static_cast<int>(netlist_bit)) + " reference=" +
-                      std::to_string(static_cast<int>(reference_bit)) + " for A=" +
-                      a.to_string() + ", B=" + b.to_string();
-    if (sweep_index != ~std::uint64_t{0}) {
-        char repro[128];
-        if (random_regime) {
-            std::snprintf(repro, sizeof repro,
-                          " [repro: seed=0x%llx sweep=%llu sweep_seed=0x%llx]",
-                          static_cast<unsigned long long>(campaign_seed),
-                          static_cast<unsigned long long>(sweep_index),
-                          static_cast<unsigned long long>(
-                              verify::Campaign::derive_sweep_seed(campaign_seed,
-                                                                  sweep_index)));
-        } else {
-            std::snprintf(repro, sizeof repro,
-                          " [repro: exhaustive sweep=%llu]",
-                          static_cast<unsigned long long>(sweep_index));
-        }
-        out += repro;
-    }
-    return out;
+    return "c" + std::to_string(coefficient) + " mismatch: netlist=" +
+           std::to_string(static_cast<int>(netlist_bit)) + " reference=" +
+           std::to_string(static_cast<int>(reference_bit)) + " for A=" +
+           a.to_string() + ", B=" + b.to_string() +
+           verify::repro_suffix(campaign_seed, sweep_index, random_regime);
 }
 
 namespace {
 
-/// Fill `out` with the field element carried by `lane` across m input words
-/// starting at `offset`, reusing the scratch word buffer.
-void element_from_lane_into(std::span<const std::uint64_t> words, int offset, int m,
-                            int lane, std::vector<std::uint64_t>& bits, Poly& out) {
-    bits.assign(static_cast<std::size_t>((m + 63) / 64), 0);
+/// The field element carried by `lane` across m input words starting at
+/// `offset` (failure reporting and the oracle anchor, off the hot path).
+Poly element_from_lane(std::span<const std::uint64_t> words, int offset, int m,
+                       int lane) {
+    std::vector<std::uint64_t> bits(static_cast<std::size_t>((m + 63) / 64), 0);
     for (int i = 0; i < m; ++i) {
         if ((words[static_cast<std::size_t>(offset + i)] >> lane) & 1U) {
             bits[static_cast<std::size_t>(i / 64)] |= std::uint64_t{1} << (i % 64);
         }
     }
-    out.assign_words(bits);
-}
-
-/// One-shot variant for failure reporting (off the hot path).
-Poly element_from_lane(std::span<const std::uint64_t> words, int offset, int m,
-                       int lane) {
-    std::vector<std::uint64_t> bits;
     Poly out;
-    element_from_lane_into(words, offset, m, lane, bits, out);
+    out.assign_words(bits);
     return out;
 }
 
 /// Everything one campaign worker owns: execution scratch for the shared
 /// compiled tape, the sweep's input/output words (sized for up to `blocks`
-/// blocks of 64 lanes), the lane-reference scratch, and the element storage
-/// plus engine scratch for the per-lane fallback regime.  The Program,
-/// Field and LaneReference stay shared and immutable; workers never
-/// contend, and sweeps are allocation-free in steady state.
+/// blocks of 64 lanes), the fused-oracle buffers and the lane-reference
+/// scratch for failure extraction.  The Program, Field and LaneReference
+/// stay shared and immutable; workers never contend, and sweeps are
+/// allocation-free in steady state.
 struct SweepWorker {
     SweepWorker(int m, int blocks)
         : in_words(static_cast<std::size_t>(2 * m) * blocks, 0),
@@ -89,93 +64,49 @@ struct SweepWorker {
     std::vector<std::uint64_t> oracle_diff;     // per-block diff flags
     std::vector<std::uint64_t> oracle_work;     // >= 8m+64 kernel scratch words
     verify::LaneReference::Scratch lane_scratch;
-    std::vector<std::uint64_t> lane_bits;       // per-lane element extraction
-    std::vector<std::uint64_t> got_bits;        // per-lane netlist gather
-    Poly a_elem;
-    Poly b_elem;
-    Poly product;
-    field::FieldOps::Scratch ops_scratch;  // engine working buffers
 };
 
-/// Check one 64-lane block already simulated into out/in spans.  laneref is
-/// non-null when the lane-major oracle covers this field.  The failure
-/// reported is the lane-major first one (lowest lane, then lowest
-/// coefficient), matching a bit-serial scan of the 64 assignments.
-std::optional<VerifyFailure> check_block(SweepWorker& w, const Field& field,
-                                         const verify::LaneReference* laneref,
+/// Re-check one 64-lane block the fused oracle flagged, through the scalar
+/// LaneReference — the verdict authority.  The failure reported is the
+/// lane-major first one (lowest lane, then lowest coefficient), matching a
+/// bit-serial scan of the 64 assignments; nullopt when the block is clean.
+std::optional<VerifyFailure> check_block(SweepWorker& w,
+                                         const verify::LaneReference& laneref,
                                          std::span<const std::uint64_t> in,
                                          std::span<const std::uint64_t> out) {
-    const int m = field.degree();
-
-    if (laneref != nullptr) {
-        // Bitsliced reference: all 64 products in m^2 word ops, already
-        // lane-major — the success path is m XOR-compares, for any word
-        // count (the oracle is lane-major, so multi-word fields compare
-        // exactly the same way).
-        laneref->products(in, w.want_words, w.lane_scratch);
-        std::uint64_t diff_any = 0;
-        for (int k = 0; k < m; ++k) {
-            diff_any |= out[static_cast<std::size_t>(k)] ^
-                        w.want_words[static_cast<std::size_t>(k)];
-        }
-        if (diff_any == 0) {
-            return std::nullopt;
-        }
-        const int lane = std::countr_zero(diff_any);
-        for (int k = 0; k < m; ++k) {
-            const bool got_bit = (out[static_cast<std::size_t>(k)] >> lane) & 1U;
-            const bool want_bit =
-                (w.want_words[static_cast<std::size_t>(k)] >> lane) & 1U;
-            if (got_bit != want_bit) {
-                return VerifyFailure{element_from_lane(in, 0, m, lane),
-                                     element_from_lane(in, m, m, lane), k,
-                                     got_bit, want_bit};
-            }
-        }
-        return std::nullopt;  // unreachable: diff_any had a set bit
+    const int m = laneref.m();
+    // Bitsliced reference: all 64 products in m^2 word ops, already
+    // lane-major, for any word count.
+    laneref.products(in, w.want_words, w.lane_scratch);
+    std::uint64_t diff_any = 0;
+    for (int k = 0; k < m; ++k) {
+        diff_any |= out[static_cast<std::size_t>(k)] ^
+                    w.want_words[static_cast<std::size_t>(k)];
     }
-
-    // Engine fallback (m beyond the lane oracle): per lane, one batched
-    // engine product (FieldOps::mul through the worker's scratch) and a
-    // word-level compare of the gathered netlist output.
-    const std::size_t wn = static_cast<std::size_t>((m + 63) / 64);
-    for (int lane = 0; lane < 64; ++lane) {
-        element_from_lane_into(in, 0, m, lane, w.lane_bits, w.a_elem);
-        element_from_lane_into(in, m, m, lane, w.lane_bits, w.b_elem);
-        field.ops().mul(w.a_elem, w.b_elem, w.product, w.ops_scratch);
-        w.got_bits.assign(wn, 0);
-        for (int k = 0; k < m; ++k) {
-            if ((out[static_cast<std::size_t>(k)] >> lane) & 1U) {
-                w.got_bits[static_cast<std::size_t>(k / 64)] |= std::uint64_t{1}
-                                                                << (k % 64);
-            }
-        }
-        const auto pw = w.product.words();
-        for (std::size_t word = 0; word < wn; ++word) {
-            const std::uint64_t want_w = word < pw.size() ? pw[word] : 0;
-            const std::uint64_t diff = w.got_bits[word] ^ want_w;
-            if (diff == 0) {
-                continue;
-            }
-            const int k = static_cast<int>(word) * 64 + std::countr_zero(diff);
-            const bool got_bit = (w.got_bits[word] >> (k % 64)) & 1U;
-            return VerifyFailure{w.a_elem, w.b_elem, k, got_bit, !got_bit};
+    if (diff_any == 0) {
+        return std::nullopt;
+    }
+    const int lane = std::countr_zero(diff_any);
+    for (int k = 0; k < m; ++k) {
+        const bool got_bit = (out[static_cast<std::size_t>(k)] >> lane) & 1U;
+        const bool want_bit = (w.want_words[static_cast<std::size_t>(k)] >> lane) & 1U;
+        if (got_bit != want_bit) {
+            return VerifyFailure{element_from_lane(in, 0, m, lane),
+                                 element_from_lane(in, m, m, lane), k, got_bit,
+                                 want_bit};
         }
     }
-    return std::nullopt;
+    return std::nullopt;  // unreachable: diff_any had a set bit
 }
 
 /// Everything check_sweep needs beyond the worker: the shared tape, the
-/// oracle selection (fused kernel + reduction view when the lane oracle
-/// covers the field), and the backend pin.  Built once per campaign.
+/// LaneReference, the fused oracle kernel with its reduction view, and the
+/// backend pin.  Built once per verifier.
 struct SweepPlan {
     const exec::Program* prog = nullptr;
-    const Field* field = nullptr;
     const verify::LaneReference* laneref = nullptr;
     /// Fused sweep oracle of the same backend rung as the tape executor
-    /// (scalar when forced or quarantined); only set when laneref is and
-    /// VerifyOptions::fused_sweep_oracle is on — null falls back to the
-    /// pre-PR-9 per-block check loop below.
+    /// (scalar when forced or quarantined).
     exec::OracleRunFn oracle_fn = nullptr;
     exec::SweepOracleView oracle_view;
     std::optional<exec::Backend> backend;
@@ -186,16 +117,14 @@ struct SweepPlan {
 /// first).  The success path is one fused oracle call over the whole sweep
 /// (per-block diff flags); a flagged block is re-extracted through the
 /// scalar LaneReference in check_block, which stays the verdict authority —
-/// block order and the lane-major first-failure rule are untouched.  With
-/// the fused oracle off (plan.oracle_fn null), every block goes through
-/// check_block directly — the pre-PR-9 configuration.  On
+/// block order and the lane-major first-failure rule are untouched.  On
 /// failure *failed_block is the in-sweep block index, letting the caller
 /// report width-1 coordinates.
 std::optional<VerifyFailure> check_sweep(SweepWorker& w, const SweepPlan& plan,
                                          int blocks, int* failed_block) {
-    const Field& field = *plan.field;
-    const std::size_t n_in = static_cast<std::size_t>(2 * field.degree());
-    const std::size_t n_out = static_cast<std::size_t>(field.degree());
+    const int m = plan.laneref->m();
+    const std::size_t n_in = static_cast<std::size_t>(2 * m);
+    const std::size_t n_out = static_cast<std::size_t>(m);
     const auto in = std::span{w.in_words}.first(n_in * blocks);
     const auto out = std::span{w.out_words}.first(n_out * blocks);
     if (plan.backend.has_value()) {
@@ -203,35 +132,20 @@ std::optional<VerifyFailure> check_sweep(SweepWorker& w, const SweepPlan& plan,
     } else {
         plan.prog->run(in, out, w.exec_scratch, blocks);
     }
-    if (plan.laneref != nullptr && plan.oracle_fn != nullptr) {
-        plan.oracle_fn(plan.oracle_view, w.in_words.data(), w.out_words.data(),
-                       w.oracle_diff.data(), w.oracle_work.data(), blocks);
-        for (int b = 0; b < blocks; ++b) {
-            if (w.oracle_diff[static_cast<std::size_t>(b)] == 0) {
-                continue;
-            }
-            auto failure = check_block(
-                w, field, plan.laneref,
-                std::span{w.in_words}.subspan(b * n_in, n_in),
-                std::span{w.out_words}.subspan(b * n_out, n_out));
-            if (failure.has_value()) {
-                *failed_block = b;
-                return failure;
-            }
-            // The scalar re-check found nothing: a conservative vector
-            // flag never fails a verdict — keep scanning.
-        }
-        return std::nullopt;
-    }
+    plan.oracle_fn(plan.oracle_view, w.in_words.data(), w.out_words.data(),
+                   w.oracle_diff.data(), w.oracle_work.data(), blocks);
     for (int b = 0; b < blocks; ++b) {
-        auto failure = check_block(
-            w, field, plan.laneref,
-            std::span{w.in_words}.subspan(b * n_in, n_in),
-            std::span{w.out_words}.subspan(b * n_out, n_out));
+        if (w.oracle_diff[static_cast<std::size_t>(b)] == 0) {
+            continue;
+        }
+        auto failure = check_block(w, *plan.laneref, in.subspan(b * n_in, n_in),
+                                   out.subspan(b * n_out, n_out));
         if (failure.has_value()) {
             *failed_block = b;
             return failure;
         }
+        // The scalar re-check found nothing: a conservative vector flag
+        // never fails a verdict — keep scanning.
     }
     return std::nullopt;
 }
@@ -248,7 +162,7 @@ struct MultiplierVerifier::Impl {
     int m = 0;
     bool exhaustive = false;
     exec::Program prog;
-    std::unique_ptr<verify::LaneReference> laneref;
+    std::optional<verify::LaneReference> laneref;  ///< empty in Algebraic mode
     SweepPlan plan;
     exec::BlockGrouping grouping;
 };
@@ -309,10 +223,10 @@ MultiplierVerifier::MultiplierVerifier(const netlist::Netlist& nl,
     // The netlist compiles once; every run() executes the shared tape.
     impl_->prog = exec::Program::compile(nl);
 
-    // The sweeps compare the netlist against the fast engine; anchor the
-    // engine itself to the independent reference arithmetic first, so a
-    // reduction bug for this particular modulus cannot silently become the
-    // verification oracle.
+    // The sweep oracle is anchored against the fast engine below; anchor
+    // the engine itself to the independent reference arithmetic first, so a
+    // reduction bug for this particular modulus cannot silently vouch for
+    // the oracle.
     {
         std::mt19937_64 oracle_rng{options.seed ^ 0x0A0A0A0AULL};
         for (int i = 0; i < 16; ++i) {
@@ -325,14 +239,12 @@ MultiplierVerifier::MultiplierVerifier(const netlist::Netlist& nl,
         }
     }
 
-    // Fields up to the lane-oracle threshold use the bitsliced lane
-    // reference as the sweep oracle; anchor it against the engine on one
-    // sweep of random lanes before trusting it with the campaign.  The
-    // anchor extracts each lane as a Poly, so it covers the multi-word
-    // regime identically.
-    std::unique_ptr<verify::LaneReference>& laneref = impl_->laneref;
-    if (m <= options.lane_oracle_max_degree) {
-        laneref = std::make_unique<verify::LaneReference>(field);
+    // The bitsliced lane reference is the sweep oracle's authority; anchor
+    // it against the engine on one sweep of random lanes before trusting it
+    // with the campaign.  The anchor extracts each lane as a Poly, so it
+    // covers the multi-word regime identically.
+    const verify::LaneReference& laneref = impl_->laneref.emplace(field);
+    {
         verify::SweepRng rng{verify::Campaign::derive_sweep_seed(options.seed,
                                                                 verify::kNoFailure)};
         std::vector<std::uint64_t> in(static_cast<std::size_t>(2 * m));
@@ -341,7 +253,7 @@ MultiplierVerifier::MultiplierVerifier(const netlist::Netlist& nl,
         }
         std::vector<std::uint64_t> want;
         verify::LaneReference::Scratch scratch;
-        laneref->products(in, want, scratch);
+        laneref.products(in, want, scratch);
         for (int lane = 0; lane < 64; ++lane) {
             const Poly a = element_from_lane(in, 0, m, lane);
             const Poly b = element_from_lane(in, m, m, lane);
@@ -366,24 +278,19 @@ MultiplierVerifier::MultiplierVerifier(const netlist::Netlist& nl,
     // first tape run, before its oracle could execute.
     SweepPlan& plan = impl_->plan;
     plan.prog = &impl_->prog;
-    plan.field = &field;
-    plan.laneref = laneref.get();
+    plan.laneref = &laneref;
     plan.backend = options.exec_backend;
-    if (laneref != nullptr && options.fused_sweep_oracle) {
-        plan.oracle_fn = exec::kTapeScalar.oracle;
-        if (options.exec_backend.has_value()) {
-            if (const exec::TapeKernel* k =
-                    exec::tape_kernel(*options.exec_backend);
-                k != nullptr && k->oracle != nullptr) {
-                plan.oracle_fn = k->oracle;
-            }
-        } else {
-            plan.oracle_fn = exec::dispatch().kernel->oracle;
+    plan.oracle_fn = exec::kTapeScalar.oracle;
+    if (options.exec_backend.has_value()) {
+        if (const exec::TapeKernel* k = exec::tape_kernel(*options.exec_backend);
+            k != nullptr && k->oracle != nullptr) {
+            plan.oracle_fn = k->oracle;
         }
-        plan.oracle_view =
-            exec::SweepOracleView{laneref->reduction_indices().data(),
-                                  laneref->reduction_offsets().data(), m};
+    } else {
+        plan.oracle_fn = exec::dispatch().kernel->oracle;
     }
+    plan.oracle_view = exec::SweepOracleView{laneref.reduction_indices().data(),
+                                             laneref.reduction_offsets().data(), m};
 
     // Both regimes batch blocks into bitsliced passes (up to 1024 products
     // per full pass — what the SIMD backends feed on); random block contents
@@ -393,7 +300,7 @@ MultiplierVerifier::MultiplierVerifier(const netlist::Netlist& nl,
         impl_->exhaustive ? ((2 * m <= 6) ? 1 : (std::uint64_t{1} << (2 * m - 6)))
                           : static_cast<std::uint64_t>(options.random_sweeps);
     impl_->grouping = exec::BlockGrouping::over(
-        total_blocks, true,
+        total_blocks,
         options.max_batch_blocks > 0 ? options.max_batch_blocks
                                      : exec::Program::kMaxBlocks);
 }

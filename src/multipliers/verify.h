@@ -2,20 +2,25 @@
 #define GFR_MULTIPLIERS_VERIFY_H
 
 // Functional verification of a multiplier netlist against the reference
-// field arithmetic (field::Field::mul).
+// field arithmetic (field::Field::mul_reference).
 //
 // The netlist must expose inputs a0..a(m-1), b0..b(m-1) and outputs
 // c0..c(m-1).  For 2m <= max_exhaustive_inputs the check enumerates all
-// 2^(2m) operand pairs (word-parallel, 64 per sweep); otherwise it runs
+// 2^(2m) operand pairs (word-parallel, 64 per block); otherwise it runs
 // random sweeps, each verifying 64 random products bit-exactly.
 //
 // The netlist compiles once into an exec::Program tape (DCE'd, fused,
 // liveness-scheduled); every sweep executes the tape — on the dispatched
-// SIMD backend by default — and both regimes batch up to
-// exec::Program::kMaxBlocks blocks (1024 test vectors) into one bitsliced
-// pass.  Batching and backend choice never move a counterexample: blocks
-// are checked in ascending order within a sweep, and random block contents
-// are seeded from the block's own width-1 index.
+// SIMD backend by default — over up to exec::Program::kMaxBlocks blocks
+// (1024 test vectors) in one bitsliced pass.  There is one oracle: the
+// fused sweep-oracle kernel of the same backend rung recomputes every
+// product lane-major and flags the blocks that differ, and each flagged
+// block is re-checked through verify::LaneReference, which decides the
+// verdict and extracts the counterexample.  The LaneReference is anchored
+// against the fast engine, and the engine against mul_reference, before a
+// campaign runs.  Batching and backend choice never move a counterexample:
+// blocks are checked in ascending order within a sweep, and random block
+// contents are seeded from the block's own width-1 index.
 //
 // The sweep space is driven through verify::Campaign: it is sharded across
 // worker threads (each owning its execution scratch over the one shared
@@ -57,15 +62,6 @@ struct VerifyOptions {
     int random_sweeps = 64;          ///< 64 random products per sweep
     std::uint64_t seed = 0xD1CEULL;
     int threads = 0;  ///< campaign workers; <= 0 = hardware concurrency
-    /// Sweep oracle selection: fields with m <= this use the bitsliced
-    /// lane-major verify::LaneReference (m^2 word ops for all 64 reference
-    /// products, no per-lane transposes); larger fields fall back to 64
-    /// per-lane engine products.  Measured (BENCH_4, single core): the lane
-    /// oracle leads 26x at m=163 and still 8x at m=571 — the fallback's
-    /// per-lane bit transposes dominate its engine muls at every practical
-    /// degree — so the default covers the whole differential tier.  0
-    /// forces the engine fallback (differential tests exercise both).
-    int lane_oracle_max_degree = 1024;
     /// Blocks per batched tape pass (clamped to [1, exec::Program::
     /// kMaxBlocks]); 0 = full width.  The verdict and counterexample
     /// coordinates are invariant across widths — this knob only trades
@@ -76,15 +72,6 @@ struct VerifyOptions {
     /// process-wide exec::dispatch() selection (bench ladders, differential
     /// tests).  Throws like Program::run when the backend is unavailable.
     std::optional<exec::Backend> exec_backend{};
-    /// Check each sweep with one fused oracle call (the kernel-tier
-    /// schoolbook + reduction + compare over all blocks, following the tape
-    /// backend's rung) instead of the pre-PR-9 per-block
-    /// LaneReference::products + compare loop.  Verdicts and counterexample
-    /// coordinates are identical either way — the differential tests sweep
-    /// it (the bench freezes its PR-5 baseline as a standalone verbatim
-    /// loop instead).  Ignored in the engine-fallback regime (laneref
-    /// absent).
-    bool fused_sweep_oracle = true;
     /// See VerifyMode.  Algebraic failures surface as VerifyFailure with the
     /// proof's synthesized witness operands and divergent coefficient;
     /// sweep_index stays unrecorded (there is no sweep to replay).
@@ -115,15 +102,15 @@ struct VerifyFailure {
 
 /// Reusable campaign verifier.  Construction does everything that is
 /// independent of an individual campaign run: validates the multiplier
-/// interface, compiles the netlist into the execution tape, anchors the
-/// engine and the lane oracle against the reference arithmetic, and
-/// resolves the sweep plan (backend rung, fused oracle, batching).  Each
-/// run() then executes one full campaign over the prepared plan and
-/// reports exactly what verify_multiplier would.  Callers that verify the
-/// same design repeatedly (bench ladders, differential sweeps) amortise
-/// the preparation; one-shot callers use verify_multiplier below.  The
-/// netlist and the field must outlive the verifier; options are fixed at
-/// construction.
+/// interface, compiles the netlist into the execution tape, builds the
+/// LaneReference, anchors the engine against the reference arithmetic and
+/// the LaneReference against the engine, and resolves the sweep plan (tape
+/// backend rung, its fused oracle, batching).  Each run() then executes one
+/// full campaign over the prepared plan and reports exactly what
+/// verify_multiplier would.  Callers that verify the same design repeatedly
+/// (bench ladders, differential sweeps) amortise the preparation; one-shot
+/// callers use verify_multiplier below.  The netlist and the field must
+/// outlive the verifier; options are fixed at construction.
 class MultiplierVerifier {
 public:
     MultiplierVerifier(const netlist::Netlist& nl, const field::Field& field,

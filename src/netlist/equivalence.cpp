@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -31,23 +30,7 @@ std::string Mismatch::to_string() const {
             out += static_cast<char>('0' + bit);
         }
     }
-    if (sweep_index != ~std::uint64_t{0}) {
-        char repro[128];
-        if (random_regime) {
-            std::snprintf(repro, sizeof repro,
-                          " [repro: seed=0x%llx sweep=%llu sweep_seed=0x%llx]",
-                          static_cast<unsigned long long>(campaign_seed),
-                          static_cast<unsigned long long>(sweep_index),
-                          static_cast<unsigned long long>(
-                              verify::Campaign::derive_sweep_seed(campaign_seed,
-                                                                  sweep_index)));
-        } else {
-            std::snprintf(repro, sizeof repro,
-                          " [repro: exhaustive sweep=%llu]",
-                          static_cast<unsigned long long>(sweep_index));
-        }
-        out += repro;
-    }
+    out += verify::repro_suffix(campaign_seed, sweep_index, random_regime);
     return out;
 }
 
@@ -161,8 +144,7 @@ std::optional<Mismatch> check_equivalence(const Netlist& lhs, const Netlist& rhs
     const std::uint64_t total_blocks =
         exhaustive ? ((n <= 6) ? 1 : (std::uint64_t{1} << (n - 6)))
                    : static_cast<std::uint64_t>(options.random_sweeps);
-    const exec::BlockGrouping grouping =
-        exec::BlockGrouping::over(total_blocks, true);
+    const exec::BlockGrouping grouping = exec::BlockGrouping::over(total_blocks);
     const std::uint64_t total_sweeps = grouping.total_sweeps;
 
     // Same floor policy as verify_multiplier: random sweeps (two batched

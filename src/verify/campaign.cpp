@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <exception>
 #include <thread>
 #include <vector>
@@ -20,6 +21,26 @@ int Campaign::worker_count(std::uint64_t total_sweeps) const noexcept {
     const std::uint64_t per = std::max<std::uint64_t>(1, options_.min_sweeps_per_worker);
     requested = std::min(requested, std::max<std::uint64_t>(1, total_sweeps / per));
     return static_cast<int>(std::min<std::uint64_t>(requested, 1024));
+}
+
+std::string repro_suffix(std::uint64_t campaign_seed, std::uint64_t sweep_index,
+                         bool random_regime) {
+    if (sweep_index == kNoFailure) {
+        return {};
+    }
+    char repro[128];
+    if (random_regime) {
+        std::snprintf(repro, sizeof repro,
+                      " [repro: seed=0x%llx sweep=%llu sweep_seed=0x%llx]",
+                      static_cast<unsigned long long>(campaign_seed),
+                      static_cast<unsigned long long>(sweep_index),
+                      static_cast<unsigned long long>(
+                          Campaign::derive_sweep_seed(campaign_seed, sweep_index)));
+    } else {
+        std::snprintf(repro, sizeof repro, " [repro: exhaustive sweep=%llu]",
+                      static_cast<unsigned long long>(sweep_index));
+    }
+    return repro;
 }
 
 std::uint64_t Campaign::run(std::uint64_t total_sweeps,

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 
 namespace gfr::verify {
 
@@ -90,6 +91,14 @@ public:
 private:
     CampaignOptions options_;
 };
+
+/// The one-line repro recipe every campaign failure string ends with:
+/// " [repro: seed=0x.. sweep=.. sweep_seed=0x..]" for random regimes (the
+/// sweep seed is derive_sweep_seed over the pair), " [repro: exhaustive
+/// sweep=..]" for exhaustive ones, and "" when sweep_index is kNoFailure
+/// (no sweep to replay).  Regression tests pin these strings byte for byte.
+[[nodiscard]] std::string repro_suffix(std::uint64_t campaign_seed,
+                                       std::uint64_t sweep_index, bool random_regime);
 
 /// Minimal value-semantics PRNG for sweep bodies (xorshift64*): identical on
 /// every platform, cheap to reseed per sweep.  Deliberately the same

@@ -138,8 +138,8 @@ TEST(ExecBackends, BlockGroupingEmptySpaceContract) {
     // total_blocks == 0: group stays a valid pass width (1) and the sweep
     // loop runs zero times — pinned so campaign drivers may feed empty
     // spaces without special-casing.
-    for (const bool batched : {false, true}) {
-        const BlockGrouping g = BlockGrouping::over(0, batched);
+    for (const int max_group : {1, Program::kMaxBlocks}) {
+        const BlockGrouping g = BlockGrouping::over(0, max_group);
         EXPECT_EQ(g.total_blocks, 0U);
         EXPECT_EQ(g.group, 1);
         EXPECT_EQ(g.total_sweeps, 0U);
@@ -147,13 +147,13 @@ TEST(ExecBackends, BlockGroupingEmptySpaceContract) {
 }
 
 TEST(ExecBackends, BlockGroupingBatchesAndClamps) {
-    // Unbatched: 1:1 sweeps to blocks.
-    const BlockGrouping flat = BlockGrouping::over(100, false);
+    // max_group = 1: 1:1 sweeps to blocks.
+    const BlockGrouping flat = BlockGrouping::over(100, 1);
     EXPECT_EQ(flat.group, 1);
     EXPECT_EQ(flat.total_sweeps, 100U);
 
-    // Batched: full width, last sweep partial.
-    const BlockGrouping wide = BlockGrouping::over(33, true);
+    // Default: full width, last sweep partial.
+    const BlockGrouping wide = BlockGrouping::over(33);
     EXPECT_EQ(wide.group, Program::kMaxBlocks);
     EXPECT_EQ(wide.total_sweeps, 3U);
     EXPECT_EQ(wide.first_block(2), 32U);
@@ -161,14 +161,14 @@ TEST(ExecBackends, BlockGroupingBatchesAndClamps) {
     EXPECT_EQ(wide.blocks_in_sweep(2), 1);
 
     // Small spaces never over-batch.
-    EXPECT_EQ(BlockGrouping::over(5, true).group, 5);
-    EXPECT_EQ(BlockGrouping::over(5, true).total_sweeps, 1U);
+    EXPECT_EQ(BlockGrouping::over(5).group, 5);
+    EXPECT_EQ(BlockGrouping::over(5).total_sweeps, 1U);
 
     // max_group clamps into [1, kMaxBlocks].
-    EXPECT_EQ(BlockGrouping::over(100, true, 0).group, 1);
-    EXPECT_EQ(BlockGrouping::over(100, true, -3).group, 1);
-    EXPECT_EQ(BlockGrouping::over(100, true, 4).group, 4);
-    EXPECT_EQ(BlockGrouping::over(100, true, 64).group, Program::kMaxBlocks);
+    EXPECT_EQ(BlockGrouping::over(100, 0).group, 1);
+    EXPECT_EQ(BlockGrouping::over(100, -3).group, 1);
+    EXPECT_EQ(BlockGrouping::over(100, 4).group, 4);
+    EXPECT_EQ(BlockGrouping::over(100, 64).group, Program::kMaxBlocks);
 }
 
 // --- Differential: every backend vs the scalar reference ---------------------
@@ -312,11 +312,23 @@ TEST(ExecBackends, FusedSweepOraclesMatchScalarEveryWidth) {
                     << " block " << i;
             }
 
-            // Fully random outputs: dense diff words, still identical.
+            // Fully random outputs: dense diff words, still identical —
+            // and the scalar rung's words are exactly the OR over k of each
+            // block's got ^ LaneReference::products.
             for (auto& w : got) {
                 w = rng.next();
             }
             check_backends("random", blocks);
+            for (int i = 0; i < blocks; ++i) {
+                std::uint64_t diff_any = 0;
+                for (int k = 0; k < m; ++k) {
+                    const std::size_t at = static_cast<std::size_t>(i) * m + k;
+                    diff_any |= got[at] ^ clean[at];
+                }
+                ASSERT_EQ(want_diff[i], diff_any)
+                    << "m=" << m << " scalar random, blocks=" << blocks
+                    << " block " << i;
+            }
         }
     }
 }
@@ -351,16 +363,14 @@ TEST(ExecBackends, UnavailableBackendThrowsPinnedMessage) {
 
 // --- Campaign invariance across widths and backends --------------------------
 
-/// Sweeps verify_multiplier over batching widths x backends x both sweep
-/// oracles and demands one verdict string.  `reference_opts` must already
-/// pin threads = 1.  The reference is the pre-PR-9 shape: width 1, forced
-/// scalar, per-block LaneReference check instead of the fused oracle.
+/// Sweeps verify_multiplier over batching widths x backends (plus auto
+/// dispatch) and demands one verdict string.  `opts` must already pin
+/// threads = 1.  The reference is width 1 on the scalar backend.
 void expect_invariant_campaign(const Netlist& bad, const field::Field& f,
                                mult::VerifyOptions opts,
                                const std::string& regime) {
     opts.max_batch_blocks = 1;
     opts.exec_backend = Backend::Scalar;
-    opts.fused_sweep_oracle = false;
     const auto reference = mult::verify_multiplier(bad, f, opts);
     ASSERT_TRUE(reference.has_value()) << regime;
     const std::string want = reference->to_string();
@@ -370,20 +380,15 @@ void expect_invariant_campaign(const Netlist& bad, const field::Field& f,
         backends.emplace_back(k->backend);
     }
     for (const int width : {1, 4, 8, 16}) {
-        for (const bool fused : {false, true}) {
-            for (const auto& backend : backends) {
-                opts.max_batch_blocks = width;
-                opts.exec_backend = backend;
-                opts.fused_sweep_oracle = fused;
-                const auto failure = mult::verify_multiplier(bad, f, opts);
-                const std::string label =
-                    regime + ", width=" + std::to_string(width) +
-                    ", backend=" +
-                    (backend ? backend_name(*backend) : "auto") +
-                    (fused ? ", fused" : ", per-block");
-                ASSERT_TRUE(failure.has_value()) << label;
-                EXPECT_EQ(failure->to_string(), want) << label;
-            }
+        for (const auto& backend : backends) {
+            opts.max_batch_blocks = width;
+            opts.exec_backend = backend;
+            const auto failure = mult::verify_multiplier(bad, f, opts);
+            const std::string label = regime + ", width=" + std::to_string(width) +
+                                      ", backend=" +
+                                      (backend ? backend_name(*backend) : "auto");
+            ASSERT_TRUE(failure.has_value()) << label;
+            EXPECT_EQ(failure->to_string(), want) << label;
         }
     }
 }

@@ -131,8 +131,8 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) { return "m" + std::to_string(info.param.degree()); });
 
 // --- Every Table V catalog field: engine vs reference ------------------------
-// verify_multiplier's oracle is the engine, so every modulus shape it can see
-// must be pinned to the reference arithmetic here.
+// verify_multiplier anchors its lane oracle against the engine, so every
+// modulus shape it can see must be pinned to the reference arithmetic here.
 
 TEST(FieldOpsCatalog, EngineMatchesReferenceOnAllTable5Fields) {
     for (const auto& spec : table5_fields()) {
