@@ -31,9 +31,12 @@
 // on verdict correctness: the clean netlist must verify, and a
 // fault-injected sibling must report a counterexample string byte-identical
 // to the scalar width-1 reference — the measured configuration provably
-// preserves both the verdict and the repro coordinates.  The PR-9
-// acceptance bar is >= 2x products/s over the PR-5 baseline at the best
-// single-thread point of each ladder.
+// preserves both the verdict and the repro coordinates.  Each point keeps
+// every repeat: it reports the median, min and max seconds, and every
+// products/s figure and speedup comes from medians (a best-of-N minimum
+// swung 2.6x-4.6x between back-to-back runs).  The PR-9 acceptance bar is
+// >= 2x products/s over the PR-5 baseline at the best single-thread point
+// of each ladder.
 
 #include "exec/program.h"
 #include "exec/run_kernels.h"
@@ -44,6 +47,7 @@
 #include "verify/campaign.h"
 #include "verify/lane_reference.h"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -69,8 +73,10 @@ struct ThroughputPoint {
     std::string backend;
     int width = 0;  ///< batching width
     int threads = 1;
-    double seconds = 0;
-    double products_per_sec = 0;
+    double seconds = 0;      ///< median over the repeats
+    double min_seconds = 0;
+    double max_seconds = 0;
+    double products_per_sec = 0;  ///< from the median
     bool ok = false;               ///< clean netlist verified
     bool repro_invariant = false;  ///< faulted repro string == scalar w1
 };
@@ -81,14 +87,18 @@ ThroughputPoint measure(const std::string& label, double products, const Fn& run
     ThroughputPoint p;
     p.label = label;
     p.ok = true;
-    double best = 1e100;
+    std::vector<double> runs;
     for (int r = 0; r < repeats; ++r) {
         const auto t0 = Clock::now();
         p.ok = run() && p.ok;
-        best = std::min(best, seconds_since(t0));
+        runs.push_back(seconds_since(t0));
     }
-    p.seconds = best;
-    p.products_per_sec = products / best;
+    std::sort(runs.begin(), runs.end());
+    const std::size_t mid = runs.size() / 2;
+    p.seconds = runs.size() % 2 != 0 ? runs[mid] : (runs[mid - 1] + runs[mid]) / 2;
+    p.min_seconds = runs.front();
+    p.max_seconds = runs.back();
+    p.products_per_sec = products / p.seconds;
     return p;
 }
 
@@ -317,14 +327,16 @@ struct SweepRow {
 
 void print_ladder(const char* title, const std::vector<ThroughputPoint>& ladder,
                   double baseline_seconds, int repeats) {
-    std::printf("\n%s (best of %d runs; speedup vs frozen PR-5 scalar point)\n",
+    std::printf("\n%s (median, min and max of %d runs; speedup of medians vs "
+                "frozen PR-5 scalar point)\n",
                 title, repeats);
-    std::printf("%-22s %6s %12s %16s %9s\n", "path", "width", "seconds",
-                "products/s", "speedup");
+    std::printf("%-22s %6s %12s %12s %12s %16s %9s\n", "path", "width", "median s",
+                "min s", "max s", "products/s", "speedup");
     for (const auto& p : ladder) {
-        std::printf("%-22s %6d %12.6f %16.0f %8.2fx  %s%s\n", p.label.c_str(),
-                    p.width, p.seconds, p.products_per_sec,
-                    baseline_seconds / p.seconds, p.ok ? "" : "(VERIFY FAILED) ",
+        std::printf("%-22s %6d %12.6f %12.6f %12.6f %16.0f %8.2fx  %s%s\n",
+                    p.label.c_str(), p.width, p.seconds, p.min_seconds,
+                    p.max_seconds, p.products_per_sec, baseline_seconds / p.seconds,
+                    p.ok ? "" : "(VERIFY FAILED) ",
                     p.repro_invariant ? "" : "(REPRO DRIFTED)");
     }
 }
@@ -340,11 +352,13 @@ void json_ladder(std::FILE* json, const char* key, double products,
         const auto& p = ladder[i];
         std::fprintf(json,
                      "      {\"path\": \"%s\", \"backend\": \"%s\", \"width\": %d, "
-                     "\"threads\": %d, \"seconds\": %.6f, "
+                     "\"threads\": %d, \"seconds\": %.6f, \"min_seconds\": %.6f, "
+                     "\"max_seconds\": %.6f, "
                      "\"products_per_sec\": %.0f, \"speedup_vs_pr5\": %.3f, "
                      "\"verdict_ok\": %s, \"repro_invariant\": %s}%s\n",
                      p.label.c_str(), p.backend.c_str(), p.width, p.threads,
-                     p.seconds, p.products_per_sec, baseline_seconds / p.seconds,
+                     p.seconds, p.min_seconds, p.max_seconds, p.products_per_sec,
+                     baseline_seconds / p.seconds,
                      p.ok ? "true" : "false",
                      p.repro_invariant ? "true" : "false",
                      i + 1 < ladder.size() ? "," : "");

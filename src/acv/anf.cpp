@@ -1,6 +1,7 @@
 #include "acv/anf.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -17,6 +18,9 @@ namespace {
 /// Sort and cancel mod 2 in place: monomials appearing an even number of
 /// times vanish, odd survivors are kept once.
 void cancel_mod2(std::vector<Monomial>& monomials) {
+    if (monomials.size() < 2) {
+        return;
+    }
     std::sort(monomials.begin(), monomials.end());
     std::size_t kept = 0;
     std::size_t i = 0;
@@ -41,12 +45,12 @@ bool ColumnExpander::emit(const Monomial& mono, std::vector<Monomial>& out) {
     NodeId best = kInvalidNode;
     for (int i = 0; i < mono.count; ++i) {
         const NodeId v = mono.vars[static_cast<std::size_t>(i)];
-        const GateKind kind = nl_->node(v).kind;
+        const GateKind kind = kind_[v];
         if (kind == GateKind::Const0) {
             return true;  // x * 0 = 0 — the monomial cancels outright
         }
-        if (kind != GateKind::Input && (best == kInvalidNode || v > best)) {
-            best = v;
+        if (kind != GateKind::Input) {
+            best = v;  // vars ascend, so the last gate variable is the largest
         }
     }
     if (live_ + out.size() + 1 > cap_) {
@@ -55,9 +59,7 @@ bool ColumnExpander::emit(const Monomial& mono, std::vector<Monomial>& out) {
     if (best == kInvalidNode) {
         out.push_back(mono);
     } else {
-        if (buckets_[best].empty()) {
-            touched_.push_back(best);
-        }
+        pending_[best >> 6U] |= std::uint64_t{1} << (best & 63U);
         buckets_[best].push_back(mono);
         ++live_;
     }
@@ -65,6 +67,26 @@ bool ColumnExpander::emit(const Monomial& mono, std::vector<Monomial>& out) {
         stats_.peak_monomials = live_ + out.size();
     }
     return true;
+}
+
+NodeId ColumnExpander::next_pending(NodeId from) const {
+    std::size_t w = from >> 6U;
+    std::uint64_t word = pending_[w] & (~std::uint64_t{0} >> (63U - (from & 63U)));
+    while (word == 0) {
+        if (w == 0) {
+            return kInvalidNode;
+        }
+        word = pending_[--w];
+    }
+    return static_cast<NodeId>(w * 64 + 63 - static_cast<std::size_t>(std::countl_zero(word)));
+}
+
+void ColumnExpander::drop_pending() {
+    for (NodeId id = top_; (id = next_pending(id)) != kInvalidNode;) {
+        buckets_[id].clear();
+        pending_[id >> 6U] &= ~(std::uint64_t{1} << (id & 63U));
+    }
+    live_ = 0;
 }
 
 ColumnExpander::Status ColumnExpander::expand(NodeId root,
@@ -77,14 +99,14 @@ ColumnExpander::Status ColumnExpander::expand(NodeId root,
     }
     if (buckets_.size() < nl_->node_count()) {
         buckets_.resize(nl_->node_count());
+        pending_.resize((nl_->node_count() + 63) / 64);
+        for (NodeId id = static_cast<NodeId>(kind_.size()); id < nl_->node_count(); ++id) {
+            kind_.push_back(nl_->node(id).kind);
+        }
     }
-    // A prior aborted expansion may have left monomials behind.
-    for (const NodeId id : touched_) {
-        buckets_[id].clear();
-    }
-    touched_.clear();
+    drop_pending();  // an expansion cut short by an exception may have left some
+    top_ = root;
     out.clear();
-    live_ = 0;
     cap_ = max_monomials;
     stats_ = {};
 
@@ -93,15 +115,13 @@ ColumnExpander::Status ColumnExpander::expand(NodeId root,
     Status status = emit(seed, out) ? Status::Ok : Status::MonomialCap;
 
     // Reverse-topological substitution: every emission targets a strictly
-    // smaller gate id (fanins precede their gate), so one descending scan
-    // from the root expands each gate exactly once.
-    for (NodeId id = root + 1; status == Status::Ok && id-- > 0;) {
-        std::vector<Monomial>& bucket = buckets_[id];
-        if (bucket.empty()) {
-            continue;
-        }
+    // smaller gate id (fanins precede their gate), so always expanding the
+    // largest pending bucket expands each gate exactly once, in descending
+    // id order.
+    for (NodeId id = root; status == Status::Ok && (id = next_pending(id)) != kInvalidNode;) {
+        pending_[id >> 6U] &= ~(std::uint64_t{1} << (id & 63U));
         work_.clear();
-        std::swap(work_, bucket);  // capacities circulate instead of churning
+        std::swap(work_, buckets_[id]);  // capacities circulate instead of churning
         live_ -= work_.size();
         // Mod-2 cancellation before expanding: identical monomials always
         // share this maximal gate variable, so this per-bucket pass is
@@ -142,11 +162,7 @@ ColumnExpander::Status ColumnExpander::expand(NodeId root,
 
     if (status != Status::Ok) {
         // Leave the expander reusable: record how far it got, drop the rest.
-        for (const NodeId id : touched_) {
-            buckets_[id].clear();
-        }
-        touched_.clear();
-        live_ = 0;
+        drop_pending();
         if (stats != nullptr) {
             *stats = stats_;
         }
@@ -201,9 +217,9 @@ SpecTable multiplier_spec(const gf2::Poly& modulus,
         for (const int k : xs.support()) {
             auto& column = spec.columns[static_cast<std::size_t>(k)];
             for (int i = lo; i <= hi; ++i) {
-                column.push_back(Monomial::pair(
-                    a_nodes[static_cast<std::size_t>(i)],
-                    b_nodes[static_cast<std::size_t>(s - i)]));
+                const NodeId a = a_nodes[static_cast<std::size_t>(i)];
+                const NodeId b = b_nodes[static_cast<std::size_t>(s - i)];
+                column.push_back(a < b ? VarPair{a, b} : VarPair{b, a});
             }
         }
     }
@@ -212,6 +228,19 @@ SpecTable multiplier_spec(const gf2::Poly& modulus,
         spec.total_monomials += column.size();
     }
     return spec;
+}
+
+bool matches_column(std::span<const Monomial> anf, std::span<const VarPair> column) {
+    if (anf.size() != column.size()) {
+        return false;
+    }
+    for (std::size_t i = 0; i < anf.size(); ++i) {
+        if (anf[i].count != 2 || anf[i].vars[0] != column[i][0] ||
+            anf[i].vars[1] != column[i][1]) {
+            return false;
+        }
+    }
+    return true;
 }
 
 }  // namespace gfr::acv

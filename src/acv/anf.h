@@ -15,7 +15,11 @@
 //
 //   - Substitution strictly decreases the maximal gate variable of a
 //     monomial (fanin id < gate id), so bucketing monomials by that maximum
-//     and scanning ids downward visits each gate exactly once.
+//     and always expanding the largest pending bucket id visits each gate
+//     exactly once.  A bitmap marks the buckets that hold monomials, and a
+//     find-previous scan over its words jumps from one to the next, so a
+//     column visits only the gates its expansion reaches, not every node
+//     id below the root.
 //   - Identical monomials share the same maximal gate variable, so they
 //     always meet in the same bucket *before* it is expanded — per-bucket
 //     parity deduplication is the only cancellation the algorithm ever
@@ -23,7 +27,9 @@
 //
 // multiplier_spec() builds the reference side: the per-output-column
 // monomial sets of C = A*B mod f, straight from x^s mod f — the word-level
-// signature the backward rewriting must reach.
+// signature the backward rewriting must reach.  Every spec monomial is a
+// product of two inputs, so the table stores id pairs; matches_column()
+// compares an extracted ANF against a column without building monomials.
 
 #include "gf2/gf2_poly.h"
 #include "netlist/netlist.h"
@@ -142,26 +148,41 @@ private:
     /// Returns false when doing so would exceed the monomial cap.
     bool emit(const Monomial& mono, std::vector<Monomial>& out);
 
+    /// Largest id <= `from` whose bucket holds monomials, or kInvalidNode.
+    netlist::NodeId next_pending(netlist::NodeId from) const;
+
+    /// Empty every pending bucket (after an aborted expansion).
+    void drop_pending();
+
     const netlist::Netlist* nl_;
+    std::vector<netlist::GateKind> kind_;         ///< per node id
     std::vector<std::vector<Monomial>> buckets_;  ///< by maximal gate var
-    std::vector<netlist::NodeId> touched_;        ///< buckets holding monomials
+    std::vector<std::uint64_t> pending_;  ///< bit per node id: bucket holds monomials
+    netlist::NodeId top_ = 0;             ///< no pending id exceeds it
     std::vector<Monomial> work_;
     std::size_t live_ = 0;  ///< monomials currently in buckets
     std::size_t cap_ = 0;
     Stats stats_;
 };
 
+/// One spec monomial a_i*b_j as its two node ids, ascending.
+using VarPair = std::array<netlist::NodeId, 2>;
+
 /// The reference signature of C = A*B mod `modulus`, per output column:
 /// columns[k] is the sorted set of monomials a_i*b_j (as node-id pairs) with
 /// bit k of x^(i+j) mod f set.  All 2m node ids must be distinct.
 struct SpecTable {
-    std::vector<std::vector<Monomial>> columns;
+    std::vector<std::vector<VarPair>> columns;
     std::size_t total_monomials = 0;
 };
 
 SpecTable multiplier_spec(const gf2::Poly& modulus,
                           std::span<const netlist::NodeId> a_nodes,
                           std::span<const netlist::NodeId> b_nodes);
+
+/// True iff the canonical ANF `anf` (as expand() returns it) is exactly the
+/// spec column's set of two-variable monomials.
+bool matches_column(std::span<const Monomial> anf, std::span<const VarPair> column);
 
 }  // namespace gfr::acv
 

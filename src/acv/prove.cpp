@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -93,8 +94,13 @@ PortMap resolve_ports(const Netlist& nl, int m) {
 /// one monomial and no other — the netlist bit and the reference bit differ
 /// at that assignment by construction.
 ProofFailure mismatch_failure(int column, const std::vector<Monomial>& anf,
-                              const std::vector<Monomial>& spec,
+                              std::span<const VarPair> spec_column,
                               const PortMap& ports, const Field& field) {
+    std::vector<Monomial> spec;
+    spec.reserve(spec_column.size());
+    for (const VarPair& pair : spec_column) {
+        spec.push_back(Monomial::pair(pair[0], pair[1]));
+    }
     std::vector<Monomial> residual;
     std::set_symmetric_difference(anf.begin(), anf.end(), spec.begin(),
                                   spec.end(), std::back_inserter(residual));
@@ -169,7 +175,7 @@ std::optional<ProofFailure> prove_multiplier(const Netlist& nl,
                 return true;
             }
             column_monomials[static_cast<std::size_t>(k)] = anf->size();
-            if (*anf == spec.columns[static_cast<std::size_t>(k)]) {
+            if (matches_column(*anf, spec.columns[static_cast<std::size_t>(k)])) {
                 return false;
             }
             failures[static_cast<std::size_t>(k)] = mismatch_failure(

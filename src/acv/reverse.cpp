@@ -361,8 +361,8 @@ ReverseResult reverse_engineer(const Netlist& nl,
     const SpecTable reference = multiplier_spec(f, a_nodes, b_nodes);
     for (int k = 0; k < m; ++k) {
         const int o = output_of_column[static_cast<std::size_t>(k)];
-        if (anf[static_cast<std::size_t>(o)] !=
-            reference.columns[static_cast<std::size_t>(k)]) {
+        if (!matches_column(anf[static_cast<std::size_t>(o)],
+                            reference.columns[static_cast<std::size_t>(k)])) {
             return reject("the extracted ANF does not match C = A*B mod " +
                           f.to_string());
         }

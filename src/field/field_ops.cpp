@@ -178,7 +178,7 @@ void FieldOps::mul(const gf2::Poly& a, const gf2::Poly& b, gf2::Poly& out,
         return;
     }
     if (aw.empty() || bw.empty()) {
-        out.assign_words({});
+        out.assign_word(0);
         return;
     }
     // Word-level schoolbook with the Karatsuba layer above the crossover
@@ -200,7 +200,7 @@ void FieldOps::sqr(const gf2::Poly& a, gf2::Poly& out, Scratch& scratch) const {
         return;
     }
     if (aw.empty()) {
-        out.assign_words({});
+        out.assign_word(0);
         return;
     }
     const std::size_t pn = std::max(2 * aw.size(), elem_words() + 1);

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -121,7 +122,10 @@ PassResult reduce_functional(const Netlist& nl, const ReduceOptions& options) {
     const std::size_t n = nl.node_count();
     const auto reachable = nl.reachable_from_outputs();
     const auto frozen = internal::frozen_nodes(nl);
-    const int words = std::clamp(options.signature_words, 1, 16);
+    if (options.signature_words < 1 || options.signature_words > 16) {
+        throw std::invalid_argument{"reduce_functional: signature_words must be in [1, 16]"};
+    }
+    const int words = options.signature_words;
 
     // --- Signatures ------------------------------------------------------
     std::vector<std::uint64_t> sig(n * static_cast<std::size_t>(words), 0);

@@ -73,21 +73,24 @@ PassResult strash(const netlist::Netlist& nl);
 struct RewriteOptions {
     /// Database depth: minimal implementations enumerated up to this many
     /// gates per <=4-input function (tree cost; DAG sharing is priced at
-    /// rewrite time against the destination netlist).
+    /// rewrite time against the destination netlist).  In [1, 7].
     int max_database_gates = 5;
-    /// Cuts kept per node during enumeration.
+    /// Cuts kept per node during enumeration (>= 1), besides the node's
+    /// own trivial cut.
     int cuts_per_node = 8;
     /// Mutation-tier hook: XOR output 0's driver with primary input 0, a
     /// deliberately unsound rewrite the post-pass campaign must catch.
     bool unsound_for_test = false;
 };
 
-/// DAG-aware <=4-cut database rewriting.
+/// DAG-aware <=4-cut database rewriting.  Throws std::invalid_argument
+/// when an option is out of range.
 PassResult rewrite_cuts(const netlist::Netlist& nl,
                         const RewriteOptions& options = {});
 
 struct ReduceOptions {
-    /// 64-lane random signature words per node (4 => 256 patterns).
+    /// 64-lane random signature words per node (4 => 256 patterns), in
+    /// [1, 16].
     int signature_words = 4;
     std::uint64_t seed = 0xF12EDULL;
     /// Upper bound on check_equivalence cone confirmations per run (a
@@ -97,6 +100,7 @@ struct ReduceOptions {
 };
 
 /// Functional reduction via simulation signatures + cone equivalence.
+/// Throws std::invalid_argument when signature_words is out of range.
 PassResult reduce_functional(const netlist::Netlist& nl,
                              const ReduceOptions& options = {});
 
@@ -146,8 +150,9 @@ struct OptOptions {
     /// zero-simulation check of the end result against the word-level spec,
     /// independent of the per-pass equivalence campaigns (which compare
     /// netlist to netlist, not netlist to spec).  Failure throws
-    /// VerificationError with pass name "algebraic".  The Field must
-    /// outlive the call.  nullptr (default) skips the gate.
+    /// VerificationError with pass name "algebraic".  The proof runs on
+    /// verify.threads workers.  The Field must outlive the call.  nullptr
+    /// (default) skips the gate.
     const field::Field* algebraic_spec = nullptr;
 };
 

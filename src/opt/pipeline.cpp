@@ -149,8 +149,9 @@ OptResult optimize(const Netlist& nl, const OptOptions& options) {
         const auto stats = result.netlist.stats();
         report.gates_before = report.gates_after = stats.gates();
         report.xor_depth_before = report.xor_depth_after = stats.xor_depth;
-        if (const auto failure =
-                acv::prove_multiplier(result.netlist, *options.algebraic_spec)) {
+        if (const auto failure = acv::prove_multiplier(
+                result.netlist, *options.algebraic_spec,
+                {.threads = options.verify.threads})) {
             throw VerificationError("algebraic", failure->to_string());
         }
         report.verified = true;

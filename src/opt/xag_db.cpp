@@ -3,6 +3,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace gfr::opt::internal {
@@ -51,12 +53,11 @@ XagDatabase::XagDatabase(int max_gates) : max_gates_(max_gates) {
 }
 
 const XagDatabase& XagDatabase::instance(int max_gates) {
-    if (max_gates < 1) {
-        max_gates = 1;
-    }
-    if (max_gates > 7) {
-        max_gates = 7;  // enumeration cost grows fast; 7 already covers
-                        // every cut a <=4-leaf MFFC can free
+    // Enumeration cost grows fast; 7 already covers every cut a <=4-leaf
+    // MFFC can free.
+    if (max_gates < 1 || max_gates > 7) {
+        throw std::invalid_argument{"XagDatabase: max_database_gates must be in [1, 7], got " +
+                                    std::to_string(max_gates)};
     }
     static std::mutex mutex;
     static std::map<int, std::unique_ptr<XagDatabase>> registry;

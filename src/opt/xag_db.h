@@ -39,7 +39,8 @@ public:
 
     /// Shared database enumerated up to `max_gates` tree cost.  Built once
     /// per distinct bound (magic static registry, thread-safe); the default
-    /// bound builds in milliseconds.
+    /// bound builds in milliseconds.  Throws std::invalid_argument unless
+    /// 1 <= max_gates <= 7.
     static const XagDatabase& instance(int max_gates);
 
     /// Entry for a truth table; entry.cost < 0 when the function needs more

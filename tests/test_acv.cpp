@@ -271,5 +271,35 @@ TEST(AcvOptGate, AlgebraicPostGateReportsAndThrows) {
     }
 }
 
+TEST(AcvOptGate, AlgebraicPostGateFollowsTheVerifyThreadCount) {
+    // The post-gate runs its column proofs on OptOptions::verify.threads
+    // workers; verdicts and messages do not depend on the count.
+    const field::Field fld = field::gf256_paper_field();
+    const auto nl = mult::build_date2018_flat(fld, mult::Elaboration::Literal);
+    std::string message;
+    for (const int threads : {1, 3}) {
+        opt::OptOptions options;
+        options.verify.threads = threads;
+        options.algebraic_spec = &fld;
+        const auto result = opt::optimize(nl, options);
+        ASSERT_FALSE(result.passes.empty());
+        EXPECT_EQ(result.passes.back().pass, "algebraic");
+        EXPECT_TRUE(result.passes.back().verified);
+
+        options.verify_each_pass = false;
+        options.rewrite.unsound_for_test = true;
+        try {
+            static_cast<void>(opt::optimize(nl, options));
+            FAIL() << "unsound rewrite escaped the algebraic gate at threads=" << threads;
+        } catch (const opt::VerificationError& e) {
+            EXPECT_EQ(e.pass(), "algebraic");
+            if (message.empty()) {
+                message = e.what();
+            }
+            EXPECT_EQ(message, e.what()) << "threads=" << threads;
+        }
+    }
+}
+
 }  // namespace
 }  // namespace gfr::acv

@@ -17,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -217,7 +219,70 @@ TEST(RewriteCuts, UnsoundHookProducesNonEquivalentNetlist) {
     EXPECT_TRUE(netlist::check_equivalence(nl, r.netlist).has_value());
 }
 
+TEST(RewriteCuts, OutOfRangeOptionsThrow) {
+    const field::Field f = field::table5_fields()[0].make();
+    const Netlist nl = mult::build_date2018_flat(f);
+    for (const int cuts : {0, -1}) {
+        RewriteOptions options;
+        options.cuts_per_node = cuts;
+        EXPECT_THROW(static_cast<void>(rewrite_cuts(nl, options)), std::invalid_argument)
+            << "cuts_per_node=" << cuts;
+    }
+    for (const int gates : {0, -3, 8}) {
+        RewriteOptions options;
+        options.max_database_gates = gates;
+        EXPECT_THROW(static_cast<void>(rewrite_cuts(nl, options)), std::invalid_argument)
+            << "max_database_gates=" << gates;
+    }
+    RewriteOptions smallest;
+    smallest.max_database_gates = 1;
+    const PassResult r = rewrite_cuts(nl, smallest);
+    EXPECT_FALSE(netlist::check_equivalence(nl, r.netlist).has_value());
+}
+
+TEST(RewriteCuts, OneCutPerNodeIsHonoured) {
+    // The netlist of CancelsSharedSubtermsAndSharesAcrossCones.  At y0 the
+    // smallest merged cut is {a^b, a^c}, whose function is a plain XOR: no
+    // gain.  Only the second cut, {a, b, c}, exposes b^c.  So one kept cut
+    // per node leaves all four gates, and two kept cuts collapse them to
+    // one.
+    Netlist nl;
+    const NodeId a = nl.add_input("a");
+    const NodeId b = nl.add_input("b");
+    const NodeId c = nl.add_input("c");
+    nl.add_output("y0", nl.make_xor_fresh(nl.make_xor_fresh(a, b), nl.make_xor_fresh(a, c)));
+    nl.add_output("y1", nl.make_xor_fresh(b, c));
+    RewriteOptions one;
+    one.cuts_per_node = 1;
+    RewriteOptions two;
+    two.cuts_per_node = 2;
+    const PassResult r1 = rewrite_cuts(nl, one);
+    const PassResult r2 = rewrite_cuts(nl, two);
+    EXPECT_FALSE(netlist::check_equivalence(nl, r1.netlist).has_value());
+    EXPECT_FALSE(netlist::check_equivalence(nl, r2.netlist).has_value());
+    EXPECT_EQ(r1.netlist.stats().gates(), 4);
+    EXPECT_EQ(r2.netlist.stats().gates(), 1);
+}
+
 // --- reduce_functional -------------------------------------------------------
+
+TEST(ReduceFunctional, OutOfRangeSignatureWordsThrow) {
+    const field::Field f = field::table5_fields()[0].make();
+    const Netlist nl = mult::build_rashidi_direct(f);
+    for (const int words : {0, -1, 17}) {
+        ReduceOptions options;
+        options.signature_words = words;
+        EXPECT_THROW(static_cast<void>(reduce_functional(nl, options)), std::invalid_argument)
+            << "signature_words=" << words;
+    }
+    for (const int words : {1, 16}) {
+        ReduceOptions options;
+        options.signature_words = words;
+        const PassResult r = reduce_functional(nl, options);
+        EXPECT_FALSE(netlist::check_equivalence(nl, r.netlist).has_value())
+            << "signature_words=" << words;
+    }
+}
 
 TEST(ReduceFunctional, MergesEquivalentButStructurallyDifferentCones) {
     // y1 = (a^b)&(a^b) rebuilt as AND of two fresh copies of a^b — no
