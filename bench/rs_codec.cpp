@@ -22,11 +22,10 @@
 #include "field/gf2m.h"
 #include "gf2/gf2_poly.h"
 #include "rs/codec.h"
+#include "bench_timer.h"
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -34,28 +33,7 @@
 namespace gfr {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-/// Seconds per iteration of fn, repeated until >= 0.15 s total.
-double time_it(const std::function<void()>& fn) {
-    fn();  // warmup
-    int iters = 1;
-    for (;;) {
-        const auto t0 = Clock::now();
-        for (int i = 0; i < iters; ++i) {
-            fn();
-        }
-        const double secs =
-            std::chrono::duration<double>(Clock::now() - t0).count();
-        if (secs >= 0.15) {
-            return secs / iters;
-        }
-        iters = (secs <= 0.0) ? iters * 8
-                              : static_cast<int>(static_cast<double>(iters) *
-                                                 (0.2 / secs)) +
-                                    1;
-    }
-}
+using bench::time_it;
 
 std::uint64_t g_sink = 0;  // defeats dead-code elimination
 

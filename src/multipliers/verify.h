@@ -22,12 +22,15 @@
 // blocks are checked in ascending order within a sweep, and random block
 // contents are seeded from the block's own width-1 index.
 //
-// The sweep space is driven through verify::Campaign: it is sharded across
-// worker threads (each owning its execution scratch over the one shared
-// immutable Program and Field), random sweeps draw their PRNG seed from
-// (options.seed, sweep index) so their contents never depend on scheduling,
-// and the reported failure is the globally first one — the verdict and the
-// counterexample are bit-identical at any thread count.
+// The sweep space is the shared verify::BlockSchedule, driven by
+// verify::Campaign::first_failure: it is sharded across worker threads
+// (each owning its execution scratch over the one shared immutable Program
+// and Field), random blocks draw their PRNG seed from (options.seed, block
+// index) so their contents never depend on scheduling, and the reported
+// failure is the globally first one — the verdict and the counterexample
+// are bit-identical at any thread count.  Simulation is all this verifier
+// does; a proof over all inputs (and guarded netlists with extra checker
+// outputs) goes through acv::prove_multiplier directly.
 
 #include "field/gf2m.h"
 #include "netlist/netlist.h"
@@ -44,19 +47,6 @@ enum class Backend : std::uint8_t;  // exec/run_kernels.h
 
 namespace gfr::mult {
 
-/// Which check(s) a verifier runs.  Simulation is the campaign described
-/// above.  Algebraic replaces it with acv::prove_multiplier — backward
-/// rewriting to canonical ANF, a *proof* over all inputs with zero
-/// simulation, and the only mode that accepts CED-guarded netlists (ports
-/// resolve by name; checker output lanes are excluded from the signature).
-/// Both runs the algebraic proof first and the simulation campaign after
-/// it, failing on whichever trips.
-enum class VerifyMode : std::uint8_t {
-    Simulation,
-    Algebraic,
-    Both,
-};
-
 struct VerifyOptions {
     int max_exhaustive_inputs = 22;  ///< exhaustive iff 2m <= this (m=11 -> 2^22)
     int random_sweeps = 64;          ///< 64 random products per sweep
@@ -72,10 +62,6 @@ struct VerifyOptions {
     /// process-wide exec::dispatch() selection (bench ladders, differential
     /// tests).  Throws like Program::run when the backend is unavailable.
     std::optional<exec::Backend> exec_backend{};
-    /// See VerifyMode.  Algebraic failures surface as VerifyFailure with the
-    /// proof's synthesized witness operands and divergent coefficient;
-    /// sweep_index stays unrecorded (there is no sweep to replay).
-    VerifyMode mode = VerifyMode::Simulation;
 };
 
 /// A failing product: the operands and the first differing coefficient.

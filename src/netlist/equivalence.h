@@ -5,18 +5,20 @@
 //
 // Netlists are compared on matching input/output *names* (order may differ).
 // For small input counts the check is exhaustive (64 assignments per
-// simulation sweep); beyond the threshold it falls back to dense random
+// simulation block); beyond the threshold it falls back to dense random
 // vectors.  Random simulation over tens of thousands of lanes is a strong
 // filter for XOR/AND logic of this shape: any single wrong product term
 // flips ~half of all lanes.
 //
-// Both netlists compile once into exec::Program tapes; every sweep executes
-// the compiled tapes, and exhaustive regimes batch up to four enumeration
-// blocks (256 assignments) into one bitsliced pass.  The sweep space runs
-// through verify::Campaign: shards across worker threads (each owning only
-// execution scratch over the shared immutable tapes), per-sweep seed
-// derivation in the random regime, and globally-first-mismatch reporting,
-// so verdict and counterexample are identical at any thread count.
+// Both netlists compile once into exec::Program tapes, and every sweep
+// executes the compiled tapes over up to exec::Program::kMaxBlocks blocks
+// in one bitsliced pass.  The inputs come from the one campaign schedule,
+// verify::BlockSchedule: the lhs words of block b are a pure function of
+// (seed, b), and the rhs words are the same words permuted by port name.
+// verify::Campaign::first_failure shards the sweeps across worker threads
+// (each owning only execution scratch over the shared immutable tapes) and
+// reports the globally first mismatch at its width-1 block index, so
+// verdict and counterexample are identical at any thread count.
 
 #include "netlist/netlist.h"
 

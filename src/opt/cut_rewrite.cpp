@@ -494,6 +494,11 @@ PassResult rewrite_cuts(const Netlist& nl, const RewriteOptions& options) {
                 in_cone[v] = 0;
                 in_mffc[v] = 0;
             }
+            // An oversized cone stops the walk with nodes still queued; their
+            // marks must not leak into later walks as phantom cone members.
+            for (const NodeId v : stack) {
+                in_cone[v] = 0;
+            }
             if (!cone_ok) {
                 continue;
             }

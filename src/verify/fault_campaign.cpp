@@ -3,8 +3,8 @@
 #include "exec/program.h"
 #include "netlist/clone.h"
 
-#include <algorithm>
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 namespace gfr::verify {
@@ -31,57 +31,6 @@ std::string FaultReport::to_string() const {
            " benign, " + std::to_string(escaped) + " escaped";
 }
 
-namespace {
-
-/// The campaign's vector schedule: block-major input words (as
-/// exec::Program::run consumes them) plus the per-block live-lane masks.
-struct VectorSchedule {
-    std::vector<std::uint64_t> in;     ///< blocks x n_inputs, block-major
-    std::vector<std::uint64_t> masks;  ///< live lanes per block
-    std::uint64_t blocks = 0;
-};
-
-VectorSchedule build_schedule(int n_inputs, const FaultCampaignOptions& opt) {
-    VectorSchedule s;
-    const bool exhaustive = n_inputs <= 16;
-    if (exhaustive) {
-        const std::uint64_t lanes = std::uint64_t{1} << n_inputs;
-        s.blocks = (lanes + 63) / 64;
-        s.in.assign(s.blocks * static_cast<std::size_t>(n_inputs), 0);
-        s.masks.assign(s.blocks, ~std::uint64_t{0});
-        if (lanes < 64) {
-            s.masks[0] = (std::uint64_t{1} << lanes) - 1;
-        }
-        for (std::uint64_t b = 0; b < s.blocks; ++b) {
-            for (int i = 0; i < n_inputs; ++i) {
-                std::uint64_t w = 0;
-                for (int l = 0; l < 64; ++l) {
-                    const std::uint64_t vec = b * 64 + static_cast<std::uint64_t>(l);
-                    if (vec < lanes && ((vec >> i) & 1U) != 0) {
-                        w |= std::uint64_t{1} << l;
-                    }
-                }
-                s.in[b * static_cast<std::size_t>(n_inputs) +
-                     static_cast<std::size_t>(i)] = w;
-            }
-        }
-    } else {
-        s.blocks = opt.random_blocks;
-        s.in.assign(s.blocks * static_cast<std::size_t>(n_inputs), 0);
-        s.masks.assign(s.blocks, ~std::uint64_t{0});
-        for (std::uint64_t b = 0; b < s.blocks; ++b) {
-            SweepRng rng{Campaign::derive_sweep_seed(opt.seed, b)};
-            for (int i = 0; i < n_inputs; ++i) {
-                s.in[b * static_cast<std::size_t>(n_inputs) +
-                     static_cast<std::size_t>(i)] = rng();
-            }
-        }
-    }
-    return s;
-}
-
-}  // namespace
-
 FaultReport run_fault_campaign(const Netlist& guarded,
                                std::span<const NodeId> sites,
                                std::size_t n_function, std::size_t alarm_index,
@@ -103,35 +52,39 @@ FaultReport run_fault_campaign(const Netlist& guarded,
         }
     }
 
-    const int n_inputs = static_cast<int>(guarded.inputs().size());
-    const int n_outputs = static_cast<int>(guarded.outputs().size());
-    const VectorSchedule sched = build_schedule(n_inputs, options);
+    const auto n_inputs = guarded.inputs().size();
+    const auto n_outputs = guarded.outputs().size();
+    // Every injection sweeps the same blocks of the shared schedule:
+    // exhaustive up to 16 inputs (below six, each lane of the one block
+    // repeats a real assignment, which moves no per-site outcome), else
+    // seeded random blocks.
+    const BlockSchedule schedule = BlockSchedule::over(
+        static_cast<int>(n_inputs), 16, options.random_blocks, options.seed);
+    const exec::BlockGrouping& grouping = schedule.grouping;
+    const auto words = [&](std::vector<std::uint64_t>& all, std::size_t width,
+                           std::uint64_t sweep) {
+        return std::span{all}.subspan(
+            grouping.first_block(sweep) * width,
+            static_cast<std::size_t>(grouping.blocks_in_sweep(sweep)) * width);
+    };
 
-    // Clean reference outputs, computed once and shared read-only.
-    const exec::Program clean = exec::Program::compile(guarded);
-    std::vector<std::uint64_t> clean_out(sched.blocks *
-                                         static_cast<std::size_t>(n_outputs));
+    // The input words and the clean reference outputs, computed once and
+    // shared read-only.
+    std::vector<std::uint64_t> in(grouping.total_blocks * n_inputs);
+    std::vector<std::uint64_t> clean_out(grouping.total_blocks * n_outputs);
     {
+        const exec::Program clean = exec::Program::compile(guarded);
         exec::Program::Scratch scratch;
-        const int group = static_cast<int>(
-            std::min<std::uint64_t>(exec::Program::kMaxBlocks, sched.blocks));
-        for (std::uint64_t b = 0; b < sched.blocks;) {
-            const int blocks = static_cast<int>(std::min<std::uint64_t>(
-                static_cast<std::uint64_t>(group), sched.blocks - b));
-            clean.run(
-                std::span<const std::uint64_t>{
-                    sched.in.data() + b * static_cast<std::size_t>(n_inputs),
-                    static_cast<std::size_t>(blocks * n_inputs)},
-                std::span<std::uint64_t>{
-                    clean_out.data() + b * static_cast<std::size_t>(n_outputs),
-                    static_cast<std::size_t>(blocks * n_outputs)},
-                scratch, blocks);
-            b += static_cast<std::uint64_t>(blocks);
+        for (std::uint64_t s = 0; s < grouping.total_sweeps; ++s) {
+            const int blocks = grouping.blocks_in_sweep(s);
+            schedule.fill(grouping.first_block(s), blocks, words(in, n_inputs, s).data());
+            clean.run(words(in, n_inputs, s), words(clean_out, n_outputs, s), scratch,
+                      blocks);
         }
     }
 
-    // One sweep per (site, fault kind); outcomes land in per-sweep slots so
-    // the report is independent of the sharding.
+    // One campaign sweep per (site, fault kind); outcomes land in per-sweep
+    // slots so the report is independent of the sharding.
     const std::uint64_t total = static_cast<std::uint64_t>(sites.size()) * 2;
     std::vector<FaultOutcome> outcomes(total, FaultOutcome::Benign);
 
@@ -139,7 +92,8 @@ FaultReport run_fault_campaign(const Netlist& guarded,
     campaign.run(total, [&](int) -> Campaign::SweepFn {
         // Per-worker mutable state, owned outright.
         auto scratch = std::make_shared<exec::Program::Scratch>();
-        auto fout = std::make_shared<std::vector<std::uint64_t>>();
+        auto fout = std::make_shared<std::vector<std::uint64_t>>(
+            static_cast<std::size_t>(grouping.group) * n_outputs);
         return [&, scratch, fout](std::uint64_t sweep) -> bool {
             const NodeId site = sites[static_cast<std::size_t>(sweep / 2)];
             const FaultKind fk = (sweep % 2 == 0) ? FaultKind::FlipGateKind
@@ -160,34 +114,21 @@ FaultReport run_fault_campaign(const Netlist& guarded,
             const exec::Program faulty = exec::Program::compile(faulty_nl);
 
             FaultOutcome outcome = FaultOutcome::Benign;
-            const int group = static_cast<int>(std::min<std::uint64_t>(
-                exec::Program::kMaxBlocks, sched.blocks));
-            fout->assign(static_cast<std::size_t>(group * n_outputs), 0);
-            for (std::uint64_t b = 0;
-                 b < sched.blocks && outcome != FaultOutcome::Escaped;) {
-                const int blocks = static_cast<int>(std::min<std::uint64_t>(
-                    static_cast<std::uint64_t>(group), sched.blocks - b));
-                faulty.run(
-                    std::span<const std::uint64_t>{
-                        sched.in.data() + b * static_cast<std::size_t>(n_inputs),
-                        static_cast<std::size_t>(blocks * n_inputs)},
-                    std::span<std::uint64_t>{
-                        fout->data(), static_cast<std::size_t>(blocks * n_outputs)},
-                    *scratch, blocks);
+            for (std::uint64_t s = 0;
+                 s < grouping.total_sweeps && outcome != FaultOutcome::Escaped; ++s) {
+                const int blocks = grouping.blocks_in_sweep(s);
+                faulty.run(words(in, n_inputs, s),
+                           std::span{*fout}.first(static_cast<std::size_t>(blocks) *
+                                                  n_outputs),
+                           *scratch, blocks);
+                const std::uint64_t* clean_block = words(clean_out, n_outputs, s).data();
                 for (int blk = 0; blk < blocks; ++blk) {
-                    const std::uint64_t mask =
-                        sched.masks[b + static_cast<std::uint64_t>(blk)];
-                    const std::uint64_t* fo =
-                        fout->data() + static_cast<std::size_t>(blk * n_outputs);
-                    const std::uint64_t* co =
-                        clean_out.data() +
-                        (b + static_cast<std::uint64_t>(blk)) *
-                            static_cast<std::size_t>(n_outputs);
+                    const std::uint64_t* fo = fout->data() + blk * n_outputs;
+                    const std::uint64_t* co = clean_block + blk * n_outputs;
                     std::uint64_t corrupt = 0;
                     for (std::size_t o = 0; o < n_function; ++o) {
                         corrupt |= fo[o] ^ co[o];
                     }
-                    corrupt &= mask;
                     if (corrupt == 0) {
                         continue;
                     }
@@ -197,7 +138,6 @@ FaultReport run_fault_campaign(const Netlist& guarded,
                     }
                     outcome = FaultOutcome::Detected;
                 }
-                b += static_cast<std::uint64_t>(blocks);
             }
             outcomes[sweep] = outcome;
             return false;  // record everything; never cancel the campaign

@@ -9,7 +9,7 @@
 // site it builds a verbatim faulty clone (netlist/clone.h, intern = false,
 // so the injected fault can never be hash-merged into the checker logic),
 // compiles it (exec::Program), and sweeps the input space — exhaustively
-// when 2m <= 16 bits, else over seeded random blocks — comparing function
+// when inputs <= 16, else over seeded random blocks — comparing function
 // outputs against the clean program's and watching the alarm bit:
 //
 //   corrupt lane  = some function output differs from the clean circuit
@@ -27,8 +27,13 @@
 //   TieFanins    — fanin b shorted to a: XOR(a,a) pins the net to 0
 //                  (stuck-at-0), AND(a,a) bypasses the gate (wire fault).
 //
-// The sweep space is sharded through verify::Campaign; outcomes land in a
-// per-sweep slot array, so the report is deterministic at any thread count.
+// The vectors are the shared campaign schedule (verify::BlockSchedule), the
+// same blocks the multiplier verifier and the equivalence checker sweep,
+// batched by exec::BlockGrouping.  With fewer than six inputs the one block
+// repeats real assignments across its 64 lanes, which changes no per-site
+// outcome.  The (site x kind) space is sharded through verify::Campaign;
+// outcomes land in a per-injection slot array, so the report is
+// deterministic at any thread count.
 
 #include "netlist/netlist.h"
 #include "verify/campaign.h"
@@ -53,7 +58,7 @@ struct FaultSite {
 enum class FaultOutcome : std::uint8_t { Benign, Detected, Escaped };
 
 struct FaultCampaignOptions {
-    /// Seed of the random-vector regime (2m > 16 inputs); the exhaustive
+    /// Seed of the random-vector regime (inputs > 16); the exhaustive
     /// regime ignores it.  Per-block contents derive from
     /// Campaign::derive_sweep_seed(seed, block), so results replay.
     std::uint64_t seed = 0xFA017ULL;

@@ -264,6 +264,29 @@ TEST(RewriteCuts, OneCutPerNodeIsHonoured) {
     EXPECT_EQ(r2.netlist.stats().gates(), 1);
 }
 
+TEST(RewriteCuts, OversizedConeLeavesNoStaleMarks) {
+    // A 70-gate chain over four leaves: every chain node from the 64th on
+    // has a {a,b,c,d} cut whose cone exceeds the MFFC walk's node cap, so
+    // the walk stops with nodes still on its stack.  The nodes built after
+    // it — the cancelling pattern of CancelsSharedSubtermsAndSharesAcrossCones
+    // over the same leaves — must still be priced on clean marks.
+    Netlist nl;
+    const NodeId leaves[] = {nl.add_input("a"), nl.add_input("b"), nl.add_input("c"),
+                             nl.add_input("d")};
+    NodeId chain = nl.make_xor_fresh(leaves[0], leaves[1]);
+    for (int k = 1; k < 70; ++k) {
+        const NodeId leaf = leaves[k % 4];
+        chain = (k % 2 == 0) ? nl.make_xor_fresh(chain, leaf) : nl.make_and_fresh(chain, leaf);
+    }
+    nl.add_output("big", chain);
+    nl.add_output("y", nl.make_xor_fresh(nl.make_xor_fresh(leaves[0], leaves[2]),
+                                         nl.make_xor_fresh(leaves[0], leaves[3])));
+    const PassResult r = rewrite_cuts(nl);
+    EXPECT_FALSE(netlist::check_equivalence(nl, r.netlist).has_value());
+    EXPECT_LE(r.netlist.stats().gates(), nl.stats().gates());
+    EXPECT_EQ(r.netlist.node(r.netlist.outputs()[1].node).kind, GateKind::Xor2);
+}
+
 // --- reduce_functional -------------------------------------------------------
 
 TEST(ReduceFunctional, OutOfRangeSignatureWordsThrow) {
