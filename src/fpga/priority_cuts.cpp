@@ -113,8 +113,11 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
         throw std::invalid_argument{"map_to_luts: cuts_per_node must be >= 1"};
     }
     const int k = options.lut_inputs;
-    const auto reachable = nl.reachable_from_outputs();
+    // fanout_counts() covers exactly the reachable subgraph, and every
+    // reachable node drives an output or a reachable gate: reachable <=>
+    // fanout > 0, so one traversal serves both.
     const auto fanout = nl.fanout_counts();
+    const auto reachable = [&fanout](NodeId id) { return fanout[id] > 0; };
 
     std::vector<NodeState> state(nl.node_count());
     CutStore store;
@@ -124,7 +127,7 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
     std::vector<Cut> candidates;
     std::vector<const Cut*> kept;
     for (NodeId id = 0; id < nl.node_count(); ++id) {
-        if (!reachable[id]) {
+        if (!reachable(id)) {
             continue;
         }
         auto& st = state[id];
@@ -246,7 +249,7 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
     for (int round = 0; round < rounds; ++round) {
         // Refresh per-node area estimates with current est_refs.
         for (NodeId id = 0; id < nl.node_count(); ++id) {
-            if (!reachable[id]) {
+            if (!reachable(id)) {
                 continue;
             }
             const auto& n = nl.node(id);
@@ -332,7 +335,7 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
                 ++refs[out.node];
             }
             for (NodeId id = 0; id < nl.node_count(); ++id) {
-                if (reachable[id]) {
+                if (reachable(id)) {
                     state[id].est_refs = std::max(1, refs[id]);
                 }
             }

@@ -1,6 +1,7 @@
 #include "netlist/netlist.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace gfr::netlist {
@@ -27,7 +28,35 @@ void Netlist::check_capacity() const {
 
 void Netlist::reserve(std::size_t nodes) {
     nodes_.reserve(nodes);
-    structural_hash_.reserve(nodes);
+    if (2 * nodes > strash_.size()) {
+        rehash(std::bit_ceil(2 * nodes));
+    }
+}
+
+std::size_t Netlist::strash_slot(GateKind kind, NodeId a, NodeId b) const noexcept {
+    const detail::StructuralKey key{static_cast<std::uint8_t>(kind), a, b};
+    const std::size_t mask = strash_.size() - 1;
+    for (std::size_t slot = detail::StructuralKeyHash{}(key) & mask;; slot = (slot + 1) & mask) {
+        const NodeId id = strash_[slot];
+        if (id == kInvalidNode) {
+            return slot;
+        }
+        const Node& n = nodes_[id];
+        if (detail::StructuralKey{static_cast<std::uint8_t>(n.kind), n.a, n.b} == key) {
+            return slot;
+        }
+    }
+}
+
+void Netlist::rehash(std::size_t slots) {
+    std::vector<NodeId> old(slots, kInvalidNode);
+    old.swap(strash_);
+    for (const NodeId id : old) {
+        if (id != kInvalidNode) {
+            const Node& n = nodes_[id];
+            strash_[strash_slot(n.kind, n.a, n.b)] = id;
+        }
+    }
 }
 
 NodeId Netlist::add_input(std::string name) {
@@ -61,25 +90,28 @@ NodeId Netlist::intern(GateKind kind, NodeId a, NodeId b) {
         nodes_.push_back(Node{kind, a, b});
         return id;  // literal elaboration: never merged, never probed
     }
-    const detail::StructuralKey key{static_cast<std::uint8_t>(kind), a, b};
-    const auto it = structural_hash_.find(key);
-    if (it != structural_hash_.end()) {
-        return it->second;
+    if (2 * (nodes_.size() + 1) > strash_.size()) {
+        rehash(std::bit_ceil(std::max<std::size_t>(64, 2 * (nodes_.size() + 1))));
+    }
+    const std::size_t slot = strash_slot(kind, a, b);
+    if (strash_[slot] != kInvalidNode) {
+        return strash_[slot];
     }
     check_capacity();
     const NodeId id = static_cast<NodeId>(nodes_.size());
     nodes_.push_back(Node{kind, a, b});
-    structural_hash_.emplace(key, id);
+    strash_[slot] = id;
     return id;
 }
 
 NodeId Netlist::find_gate(GateKind kind, NodeId a, NodeId b) const {
+    if (strash_.empty()) {
+        return kInvalidNode;
+    }
     if (a > b) {
         std::swap(a, b);
     }
-    const detail::StructuralKey key{static_cast<std::uint8_t>(kind), a, b};
-    const auto it = structural_hash_.find(key);
-    return it != structural_hash_.end() ? it->second : kInvalidNode;
+    return strash_[strash_slot(kind, a, b)];
 }
 
 void Netlist::set_protected(NodeId id) {

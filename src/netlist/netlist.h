@@ -12,7 +12,11 @@
 // Structural hashing: make_and/make_xor canonicalise commutative fanins and
 // return an existing node when one matches, so identical subexpressions
 // (e.g. a shared S^j_i term used by several product coefficients) are
-// represented once, exactly like the sharing the paper exploits.
+// represented once, exactly like the sharing the paper exploits.  The hash
+// is a flat open-addressing table of node ids (ABC's strash layout): a slot
+// holds only an id, and its key is read back from the node itself, so an
+// interned gate costs no allocation and copying the hash is one vector
+// copy.
 
 #include <cstdint>
 #include <span>
@@ -34,14 +38,15 @@ inline constexpr std::size_t kMaxNodes = static_cast<std::size_t>(kInvalidNode);
 
 namespace detail {
 
-/// Exact structural-hash key.  This replaces the former packed-word key
+/// Exact structural-hash key: the (kind, a, b) triple a strash slot's node
+/// is compared against.  This replaces the former packed-word key
 /// ((kind << 60) | (a << 30) | b): node ids occupy 32 bits, so the 30-bit
 /// fields aliased distinct fanin pairs once ids crossed 2^30 — and because
-/// the key *is* the gate identity in the hash map, an aliased key did not
-/// merely slow a lookup down, it silently merged unrelated gates (flat
-/// m >= 1024 netlists head toward that cliff, and the optimizer re-interns
-/// whole netlists).  The struct compares field-exact; the hash may collide
-/// freely (collisions only cost probes, never identity).
+/// the key *is* the gate identity, an aliased key did not merely slow a
+/// lookup down, it silently merged unrelated gates (flat m >= 1024
+/// netlists head toward that cliff, and the optimizer re-interns whole
+/// netlists).  Keys compare field-exact; the hash may collide freely
+/// (collisions only cost probes, never identity).
 struct StructuralKey {
     std::uint8_t kind = 0;
     NodeId a = kInvalidNode;
@@ -113,7 +118,8 @@ public:
 
     // --- Construction ----------------------------------------------------
 
-    /// Pre-size node storage and the structural hash for `nodes` nodes.
+    /// Pre-size node storage for `nodes` nodes and the structural hash so
+    /// that `nodes` interned gates fit without a rehash.  Changes no id.
     void reserve(std::size_t nodes);
 
     /// New primary input.  Names must be unique (checked).
@@ -139,8 +145,8 @@ public:
     // offered to later intern() calls or find_gate() probes.  This is the
     // *literal* elaboration the flat generator family uses — one gate per
     // operator of the written expression, with all structure recovery left
-    // to the optimization pipeline (whose first pass re-interns everything,
-    // exactly the load the exact StructuralKey exists for).
+    // to the optimization pipeline (whose first pass re-interns everything
+    // through the structural hash).
 
     /// Enable/disable hash-consing for subsequent make_and/make_xor calls.
     void set_structural_sharing(bool enabled) noexcept {
@@ -239,6 +245,14 @@ public:
 private:
     [[nodiscard]] NodeId intern(GateKind kind, NodeId a, NodeId b);
 
+    /// Slot of the interned gate (kind, a, b) in strash_, or of the empty
+    /// slot where it would go.  strash_ must be non-empty.
+    [[nodiscard]] std::size_t strash_slot(GateKind kind, NodeId a, NodeId b) const noexcept;
+
+    /// Re-seat every interned id into a table of `slots` slots, a power of
+    /// two larger than the current table (so the load only falls).
+    void rehash(std::size_t slots);
+
     /// Throws std::length_error when appending one more node would reach
     /// kMaxNodes (ids must stay below the kInvalidNode sentinel).
     void check_capacity() const;
@@ -246,8 +260,11 @@ private:
     std::vector<Node> nodes_;
     std::vector<Port> inputs_;
     std::vector<Port> outputs_;
-    std::unordered_map<detail::StructuralKey, NodeId, detail::StructuralKeyHash>
-        structural_hash_;
+    /// Structural hash: power-of-two linear-probing table of interned node
+    /// ids, kInvalidNode = empty, key read back from nodes_[id].  Sized
+    /// against node_count() rather than the interned count, so load <= 1/2
+    /// holds with no counter (fresh and literal gates only cost headroom).
+    std::vector<NodeId> strash_;
     std::unordered_map<std::string, int> input_index_by_name_;
     std::vector<std::uint8_t> protected_;  ///< lazily sized; empty = no marks
     std::size_t protected_count_ = 0;

@@ -22,36 +22,19 @@ using netlist::Netlist;
 
 /// Simulate `guarded` over exhaustive (2m <= 16) or seeded random vectors
 /// and require every CED output (index >= n_function) to be zero on all of
-/// them — the zero-false-alarm property.
+/// them — the zero-false-alarm property.  The blocks come from the same
+/// verify::BlockSchedule every campaign draws its inputs from.
 void expect_no_false_alarms(const Netlist& guarded, int n_function,
                             std::uint64_t random_blocks = 32) {
     const int n_in = static_cast<int>(guarded.inputs().size());
     const int n_out = static_cast<int>(guarded.outputs().size());
     const exec::Program prog = exec::Program::compile(guarded);
     exec::Program::Scratch scratch;
+    const auto schedule = verify::BlockSchedule::over(n_in, 16, random_blocks, 0xC1EA4ULL, 1);
     std::vector<std::uint64_t> in(static_cast<std::size_t>(n_in));
     std::vector<std::uint64_t> out(static_cast<std::size_t>(n_out));
-    const bool exhaustive = n_in <= 16;
-    const std::uint64_t blocks =
-        exhaustive ? ((std::uint64_t{1} << n_in) + 63) / 64 : random_blocks;
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-        if (exhaustive) {
-            for (int i = 0; i < n_in; ++i) {
-                std::uint64_t w = 0;
-                for (int l = 0; l < 64; ++l) {
-                    if (((b * 64 + static_cast<std::uint64_t>(l)) >> i) & 1U) {
-                        w |= std::uint64_t{1} << l;
-                    }
-                }
-                in[static_cast<std::size_t>(i)] = w;
-            }
-        } else {
-            verify::SweepRng rng{
-                verify::Campaign::derive_sweep_seed(0xC1EA4ULL, b)};
-            for (int i = 0; i < n_in; ++i) {
-                in[static_cast<std::size_t>(i)] = rng();
-            }
-        }
+    for (std::uint64_t b = 0; b < schedule.grouping.total_blocks; ++b) {
+        schedule.fill(b, 1, in.data());
         prog.run(in, out, scratch);
         for (int o = n_function; o < n_out; ++o) {
             ASSERT_EQ(out[static_cast<std::size_t>(o)], 0U)
@@ -59,6 +42,34 @@ void expect_no_false_alarms(const Netlist& guarded, int n_function,
                 << " raised on a clean circuit (block " << b << ")";
         }
     }
+}
+
+TEST(GuardCed, FalseAlarmSweepCoversEveryAssignment) {
+    // expect_no_false_alarms' schedule at 2m <= 16 visits every input
+    // assignment (exactly once from six inputs up; below six the one
+    // block's 64 lanes repeat them), and samples above that.
+    for (const int n_in : {3, 6, 9, 16}) {
+        const auto schedule = verify::BlockSchedule::over(n_in, 16, 32, 0xC1EA4ULL, 1);
+        ASSERT_TRUE(schedule.exhaustive) << n_in;
+        std::vector<int> seen(std::size_t{1} << n_in, 0);
+        std::vector<std::uint64_t> in(static_cast<std::size_t>(n_in));
+        for (std::uint64_t b = 0; b < schedule.grouping.total_blocks; ++b) {
+            schedule.fill(b, 1, in.data());
+            for (int lane = 0; lane < 64; ++lane) {
+                std::size_t assignment = 0;
+                for (int i = 0; i < n_in; ++i) {
+                    assignment |= ((in[static_cast<std::size_t>(i)] >> lane) & 1U) << i;
+                }
+                ++seen[assignment];
+            }
+        }
+        for (const int count : seen) {
+            ASSERT_EQ(count, n_in >= 6 ? 1 : 64 >> n_in) << n_in;
+        }
+    }
+    const auto sampled = verify::BlockSchedule::over(17, 16, 32, 0xC1EA4ULL, 1);
+    EXPECT_FALSE(sampled.exhaustive);
+    EXPECT_EQ(sampled.grouping.total_blocks, 32U);
 }
 
 TEST(GuardCed, InfoAndOutputLayout) {

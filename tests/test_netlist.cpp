@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace gfr::netlist {
@@ -67,6 +68,139 @@ TEST(Netlist, StructuralHashingDeduplicates) {
     EXPECT_EQ(nl.make_and(a, b), nl.make_and(b, a));  // commutative canonicalisation
     EXPECT_EQ(nl.make_xor(a, b), nl.make_xor(b, a));
     EXPECT_NE(nl.make_and(a, b), nl.make_xor(a, b));
+}
+
+TEST(Netlist, StructuralHashFindsEveryGateAcrossRehashes) {
+    // 450 inputs give 101025 AND pairs: the table grows from its first 64
+    // slots through a dozen rehashes, and every gate must stay findable.
+    Netlist nl;
+    std::vector<NodeId> x;
+    for (int i = 0; i < 450; ++i) {
+        x.push_back(nl.add_input("x" + std::to_string(i)));
+    }
+    std::vector<NodeId> ands;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        for (std::size_t j = i + 1; j < x.size(); ++j) {
+            ands.push_back(nl.make_and(x[i], x[j]));
+        }
+    }
+    ASSERT_GE(ands.size(), 100000U);
+    ASSERT_EQ(nl.node_count(), x.size() + ands.size());
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        for (std::size_t j = i + 1; j < x.size(); ++j, ++k) {
+            ASSERT_EQ(nl.find_gate(GateKind::And2, x[j], x[i]), ands[k]);
+            ASSERT_EQ(nl.find_gate(GateKind::Xor2, x[i], x[j]), kInvalidNode);
+            ASSERT_EQ(nl.make_and(x[i], x[j]), ands[k]);
+        }
+    }
+    EXPECT_EQ(nl.node_count(), x.size() + ands.size());
+}
+
+TEST(Netlist, CopyFindsOriginalGatesAndKeepsItsOwn) {
+    Netlist nl;
+    const auto a = nl.add_input("a");
+    const auto b = nl.add_input("b");
+    const auto c = nl.add_input("c");
+    const auto ab = nl.make_and(a, b);
+    const auto abc = nl.make_xor(ab, c);
+
+    Netlist copy = nl;
+    EXPECT_EQ(copy.find_gate(GateKind::And2, b, a), ab);
+    EXPECT_EQ(copy.find_gate(GateKind::Xor2, c, ab), abc);
+    EXPECT_EQ(copy.make_xor(ab, c), abc);
+    // Enough new gates to rehash the copy's table, none visible in nl.
+    std::vector<NodeId> added{copy.make_and(a, c)};
+    for (int i = 0; i < 200; ++i) {
+        added.push_back(copy.make_xor(added.back(), i % 2 == 0 ? a : b));
+    }
+    for (const NodeId id : added) {
+        const Node& n = copy.node(id);
+        EXPECT_EQ(copy.find_gate(n.kind, n.a, n.b), id);
+        EXPECT_EQ(nl.find_gate(n.kind, n.a, n.b), kInvalidNode);
+    }
+    EXPECT_EQ(nl.node_count(), 5U);
+    EXPECT_EQ(nl.find_gate(GateKind::And2, a, b), ab);
+    EXPECT_EQ(nl.find_gate(GateKind::Xor2, ab, c), abc);
+}
+
+TEST(Netlist, LiteralGatesStayInvisibleAfterSharingIsTurnedOn) {
+    Netlist nl;
+    const auto a = nl.add_input("a");
+    const auto b = nl.add_input("b");
+    nl.set_structural_sharing(false);
+    const auto lit1 = nl.make_xor(a, b);
+    const auto lit2 = nl.make_xor(b, a);
+    EXPECT_NE(lit1, lit2);
+    EXPECT_EQ(nl.find_gate(GateKind::Xor2, a, b), kInvalidNode);
+
+    nl.set_structural_sharing(true);
+    const auto shared = nl.make_xor(a, b);
+    EXPECT_NE(shared, lit1);
+    EXPECT_NE(shared, lit2);
+    EXPECT_EQ(nl.make_xor(b, a), shared);
+    EXPECT_EQ(nl.find_gate(GateKind::Xor2, b, a), shared);
+    EXPECT_EQ(nl.node_count(), 5U);
+}
+
+TEST(Netlist, ReserveChangesNoId) {
+    // The same seeded mix of shared, literal and fresh gates, built with and
+    // without reserve() (up front and part way through), is node-for-node
+    // identical and returns the same ids.
+    const auto build = [](bool reserve) {
+        Netlist nl;
+        if (reserve) {
+            nl.reserve(3000);
+        }
+        std::vector<NodeId> pool;
+        for (int i = 0; i < 24; ++i) {
+            pool.push_back(nl.add_input("x" + std::to_string(i)));
+        }
+        Xorshift64Star rng{0x5EEDULL};
+        std::vector<NodeId> returned;
+        for (int step = 0; step < 4000; ++step) {
+            if (reserve && step == 2000) {
+                nl.reserve(20000);
+            }
+            nl.set_structural_sharing(step % 500 >= 50);
+            const NodeId p = pool[rng.next() % pool.size()];
+            const NodeId q = pool[rng.next() % pool.size()];
+            const auto pick = rng.next() % 8;
+            const NodeId id = pick == 0   ? nl.make_and_fresh(p, q)
+                              : pick < 4 ? nl.make_and(p, q)
+                                         : nl.make_xor(p, q);
+            returned.push_back(id);
+            pool.push_back(id);
+        }
+        return std::pair{std::move(nl), std::move(returned)};
+    };
+    const auto [plain, plain_ids] = build(false);
+    const auto [reserved, reserved_ids] = build(true);
+    EXPECT_EQ(plain_ids, reserved_ids);
+    ASSERT_EQ(plain.node_count(), reserved.node_count());
+    for (NodeId id = 0; id < plain.node_count(); ++id) {
+        const Node& p = plain.node(id);
+        const Node& r = reserved.node(id);
+        ASSERT_EQ(p.kind, r.kind) << id;
+        ASSERT_EQ(p.a, r.a) << id;
+        ASSERT_EQ(p.b, r.b) << id;
+        ASSERT_EQ(plain.find_gate(p.kind, p.a, p.b), reserved.find_gate(r.kind, r.a, r.b)) << id;
+    }
+}
+
+TEST(Netlist, FindGateWithoutInternedGatesIsInvalid) {
+    Netlist empty;
+    EXPECT_EQ(empty.find_gate(GateKind::And2, 0, 1), kInvalidNode);
+
+    Netlist nl;
+    const auto a = nl.add_input("a");
+    const auto b = nl.add_input("b");
+    EXPECT_EQ(nl.find_gate(GateKind::Xor2, a, b), kInvalidNode);
+    nl.make_xor_fresh(a, b);
+    nl.set_structural_sharing(false);
+    nl.make_and(a, b);
+    EXPECT_EQ(nl.find_gate(GateKind::Xor2, a, b), kInvalidNode);
+    EXPECT_EQ(nl.find_gate(GateKind::And2, a, b), kInvalidNode);
 }
 
 TEST(Netlist, SimplificationRules) {
