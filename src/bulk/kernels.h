@@ -5,10 +5,11 @@
 // GF(2^m) engine, plus the process-wide runtime dispatch that selects them.
 //
 // This header sits below the field layer: it depends only on bulk/cpu.h and
-// the generic guard ladder (guard/ladder.h), so the field layer (FieldOps /
-// ConstMultiplier region routing) can sit on top of it while
-// bulk::RegionEngine — the traffic-shaped API in bulk/region_engine.h —
-// sits on top of the field layer.  Two sublayers, one directory:
+// the generic guard ladder (guard/ladder.h), so the field layer (FieldOps
+// builds the kernels' per-constant state) can sit on top of it while
+// bulk::RegionEngine — the traffic-shaped API in bulk/region_engine.h and
+// the one place that picks a region kernel — sits on top of the field
+// layer.  Two sublayers, one directory:
 //
 //     bulk/kernels.*      (ISA kernels + dispatch; below src/field)
 //     bulk/region_engine.* (streaming API over FieldOps; above src/field)
@@ -35,9 +36,8 @@
 //     elements per pass on the 256-bit VPCLMULQDQ path.  WideParams carries
 //     the reduction structure; no per-constant tables.
 //   - The portable scalar u64 kernel is the 4-bit window-table walk
-//     (word_mul_windows / word_addmul_windows), the same technique
-//     ConstMultiplier has used since PR 1 — always compiled, bit-identical
-//     reference for every SIMD kernel.
+//     (word_mul_windows / word_addmul_windows) — always compiled,
+//     bit-identical reference for every SIMD kernel.
 //
 // Aliasing contract (all kernels): dst may equal src exactly (in-place), or
 // the two regions must not overlap at all.  Partial overlap is undefined.
@@ -96,8 +96,8 @@ struct WideParams {
     int folds = 1;
 };
 
-/// Wide-kernel eligibility bound shared by every routing site (FieldOps,
-/// ConstMultiplier, RegionEngine): past this fold count the window-table
+/// Wide-kernel eligibility bound applied by RegionEngine's kernel
+/// selection: past this fold count the window-table
 /// walk beats the branch-free wide kernel (dense or high-tailed moduli;
 /// every paper-catalog field folds in 2-3).
 inline constexpr int kMaxWideFolds = 4;
@@ -111,7 +111,7 @@ using WordRegionFn = void (*)(const WideParams& p, const std::uint64_t* src,
                               std::uint64_t* dst, std::size_t n);
 
 /// dst[i] = a[i] * b[i] over arbitrary u64 operands (reduced like
-/// FieldOps::mul); used by FieldOps::mul_region.
+/// FieldOps::mul); used by RegionEngine::mul_region_elementwise.
 using WordElementwiseFn = void (*)(const WideParams& p, const std::uint64_t* a,
                                    const std::uint64_t* b, std::uint64_t* dst,
                                    std::size_t n);
@@ -136,7 +136,7 @@ extern const ByteKernel kByteScalar;
 
 /// Scalar u64 const-multiply via per-constant 4-bit window tables
 /// (`table[w*16 + v]` = c * (v << 4w) mod f, `windows` = ceil(m/4) of them):
-/// the PR-1 ConstMultiplier walk, kept as the always-available reference.
+/// the always-available reference.
 void word_mul_windows(const std::uint64_t* table, int windows,
                       const std::uint64_t* src, std::uint64_t* dst,
                       std::size_t n) noexcept;

@@ -7,10 +7,10 @@
 // canonical product degree) so the loop is branch-free.
 //
 // A residual test (VPTEST) then proves every lane canonical; inputs outside
-// the canonical contract — legal for the elementwise entry point, which
-// mirrors FieldOps::mul_region's any-u64 semantics — fail the test and that
-// group of four is redone through the scalar PCLMUL helper, which is the
-// unbounded FieldOps::reduce loop verbatim.
+// the canonical contract — legal for the elementwise entry point behind
+// RegionEngine::mul_region_elementwise, which accepts any u64s — fail the
+// test and that group of four is redone through the scalar PCLMUL helper,
+// which is the unbounded FieldOps::reduce loop verbatim.
 //
 // Compiled with -mvpclmulqdq -mavx2 -mpclmul only in this translation unit;
 // the dispatch calls in here only after runtime CPUID reports VPCLMULQDQ
@@ -189,8 +189,8 @@ void word_mul_elementwise_vpclmul(const WideParams& p, const std::uint64_t* a,
                                   std::size_t n) {
     const VCtx v = make_ctx(p);
     // Unlike the const-mul kernels (canonical-operand contract), this entry
-    // point mirrors FieldOps::mul_region and accepts any u64s.  The vector
-    // fold only tracks excess bits below m+64, so groups with a
+    // point (RegionEngine::mul_region_elementwise) accepts any u64s.  The
+    // vector fold only tracks excess bits below m+64, so groups with a
     // non-canonical operand (for m < 64 their product can carry higher
     // excess) are detected up front and redone through the unbounded scalar
     // reduce.  For m == 64 every u64 is canonical and the test never fires.

@@ -105,12 +105,10 @@ RegionEngine::Prepared RegionEngine::prepare(std::uint64_t c) const {
         p.wide_ = ops_->wide_params(p.c_);
         p.has_wide_ = true;
     } else if (m_ > 8 || byte_kernel_->kind == KernelKind::Scalar) {
-        // Scalar u64 path: 4-bit window tables (the ConstMultiplier walk,
-        // built by the same FieldOps::window_tables the ConstMultiplier
-        // uses, so the two can never diverge).  Built for m <= 8 too when
-        // the byte dispatch is scalar: the window walk costs 2 lookups per
-        // u64 symbol where the scalar byte kernel over the 8-byte layout
-        // would pay 16.
+        // Scalar u64 path: 4-bit window tables (FieldOps::window_tables).
+        // Built for m <= 8 too when the byte dispatch is scalar: the window
+        // walk costs 2 lookups per u64 symbol where the scalar byte kernel
+        // over the 8-byte layout would pay 16.
         p.n_windows_ = (m_ + 3) / 4;
         p.windows_ = ops_->window_tables(p.c_);
     }

@@ -22,13 +22,14 @@
 //     served by per-constant split-byte tables (lo[v] = c*v, hi[v] =
 //     c*(v<<8); two lookups + XOR per symbol);
 //   - u64 spans (any single-word field): one canonical element per word,
-//     the layout of every existing FieldOps/ConstMultiplier region API;
+//     the FieldOps element layout;
 //   - multi-word spans (m > 64): elem_words() consecutive words per
 //     symbol, span length a multiple of elem_words().
 //
-// Kernel selection happens ONCE, at engine construction, from the
-// process-wide bulk::dispatch() (runtime CPUID): AVX2/SSSE3 nibble-shuffle
-// kernels for the byte layout, the VPCLMULQDQ wide kernel for u64 spans,
+// Kernel selection happens ONCE, at engine construction, and nowhere else
+// in the library, from the process-wide bulk::dispatch() (runtime CPUID):
+// nibble-shuffle kernels for m <= 8 (on the u64 layout too), the
+// VPCLMULQDQ wide kernel for u64 spans when fold_bound() <= kMaxWideFolds,
 // and the portable scalar kernels (nibble tables / 4-bit window tables)
 // everywhere else — always compiled, bit-identical on canonical operands,
 // and the reference the differential tests hold every SIMD kernel to.  The
@@ -160,8 +161,8 @@ public:
                        std::span<std::uint64_t> dst) const;
     void scale_region(const Prepared& p, std::span<std::uint64_t> data) const;
 
-    /// out[i] = a[i] * b[i] (element-wise, any u64 operands — the
-    /// FieldOps::mul_region semantics, served by the same dispatch).
+    /// out[i] = a[i] * b[i] (element-wise, any u64 operands, reduced like
+    /// FieldOps::mul; out may alias a or b exactly).
     void mul_region_elementwise(std::span<const std::uint64_t> a,
                                 std::span<const std::uint64_t> b,
                                 std::span<std::uint64_t> out) const;

@@ -103,49 +103,6 @@ std::uint64_t FieldOps::inv_fermat(std::uint64_t a) const {
     return result;
 }
 
-void FieldOps::mul_region(std::span<const std::uint64_t> a,
-                          std::span<const std::uint64_t> b,
-                          std::span<std::uint64_t> out) const {
-    if (a.size() != b.size() || a.size() != out.size()) {
-        throw std::invalid_argument{"FieldOps::mul_region: span length mismatch"};
-    }
-    if (single_word() && fold_bound_ <= bulk::kMaxWideFolds) {
-        if (const bulk::WordKernel* k = bulk::dispatch().word; k != nullptr) {
-            k->mul_elementwise(wide_params(0), a.data(), b.data(), out.data(),
-                               a.size());
-            return;
-        }
-    }
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        out[i] = mul(a[i], b[i]);
-    }
-}
-
-void FieldOps::mul_region_const(std::uint64_t c, std::span<std::uint64_t> data) const {
-    // This per-call entry point skips the full ConstMultiplier build where
-    // the dispatched kernel needs less: the byte kernels only want the 32
-    // nibble products (not the window tables), and the wide carry-less
-    // kernel needs no per-constant tables at all.
-    if (m_ <= 8) {
-        if (const bulk::ByteKernel* k = bulk::dispatch().byte;
-            k->kind != bulk::KernelKind::Scalar) {
-            const bulk::NibbleTables t = nibble_tables(c);
-            k->mul(t, reinterpret_cast<const std::uint8_t*>(data.data()),
-                   reinterpret_cast<std::uint8_t*>(data.data()),
-                   data.size() * sizeof(std::uint64_t));
-            return;
-        }
-    } else if (single_word() && fold_bound_ <= bulk::kMaxWideFolds) {
-        if (const bulk::WordKernel* k = bulk::dispatch().word; k != nullptr) {
-            k->mul(wide_params(reduce(0, c)), data.data(), data.data(),
-                   data.size());
-            return;
-        }
-    }
-    const ConstMultiplier cm{*this, c};
-    cm.mul_region(data);
-}
-
 namespace {
 
 /// dst (2n words) = square of (src, n words): interleave each bit with zero.
@@ -431,65 +388,6 @@ std::vector<std::uint64_t> FieldOps::window_tables(std::uint64_t c) const {
         }
     }
     return table;
-}
-
-ConstMultiplier::ConstMultiplier(const FieldOps& ops, std::uint64_t c) {
-    if (!ops.single_word()) {
-        throw std::invalid_argument{
-            "ConstMultiplier: requires a single-word field (m <= 64)"};
-    }
-    c_ = ops.reduce(0, c);  // canonicalise so constant() reports a field element
-    windows_ = (ops.degree() + 3) / 4;
-    table_ = ops.window_tables(c_);
-    // Resolve the bulk region kernels once.  Byte kernels (m <= 8) run the
-    // nibble shuffle directly over the u64 layout: canonical elements keep
-    // their top seven bytes zero and table[0] == 0 maps them to zero.
-    const bulk::Dispatch& d = bulk::dispatch();
-    if (ops.degree() <= 8) {
-        nibbles_ = ops.nibble_tables(c_);
-        if (d.byte->kind != bulk::KernelKind::Scalar) {
-            byte_kernel_ = d.byte;
-        }
-    } else if (d.word != nullptr && ops.fold_bound() <= bulk::kMaxWideFolds) {
-        word_kernel_ = d.word;
-        wide_ = ops.wide_params(c_);
-    }
-}
-
-void ConstMultiplier::mul_region(std::span<std::uint64_t> data) const noexcept {
-    if (byte_kernel_ != nullptr) {
-        byte_kernel_->mul(nibbles_,
-                          reinterpret_cast<const std::uint8_t*>(data.data()),
-                          reinterpret_cast<std::uint8_t*>(data.data()),
-                          data.size() * sizeof(std::uint64_t));
-        return;
-    }
-    if (word_kernel_ != nullptr) {
-        word_kernel_->mul(wide_, data.data(), data.data(), data.size());
-        return;
-    }
-    bulk::word_mul_windows(table_.data(), windows_, data.data(), data.data(),
-                           data.size());
-}
-
-void ConstMultiplier::mul_region(std::span<const std::uint64_t> in,
-                                 std::span<std::uint64_t> out) const {
-    if (in.size() != out.size()) {
-        throw std::invalid_argument{"ConstMultiplier::mul_region: span length mismatch"};
-    }
-    if (byte_kernel_ != nullptr) {
-        byte_kernel_->mul(nibbles_,
-                          reinterpret_cast<const std::uint8_t*>(in.data()),
-                          reinterpret_cast<std::uint8_t*>(out.data()),
-                          in.size() * sizeof(std::uint64_t));
-        return;
-    }
-    if (word_kernel_ != nullptr) {
-        word_kernel_->mul(wide_, in.data(), out.data(), in.size());
-        return;
-    }
-    bulk::word_mul_windows(table_.data(), windows_, in.data(), out.data(),
-                           in.size());
 }
 
 }  // namespace gfr::field

@@ -167,6 +167,65 @@ private:
     std::vector<Item> heap_;
 };
 
+/// The rebuild shared by balance_xor_trees and extract_common_xor_pairs:
+/// copies `src` into `dst` node by node, flattening each XOR root through
+/// its single-fanout XOR children and rebuilding it depth-optimally over the
+/// (possibly deep) units.  Multi-fanout XOR nodes stay shared units.
+class BalancedRebuild {
+public:
+    BalancedRebuild(const Netlist& src, Netlist& dst)
+        : src_{&src},
+          dst_{&dst},
+          memo_{seed_inputs(src, dst)},
+          fanout_{src.fanout_counts()},
+          builder_{dst} {}
+
+    /// True when `id` is an XOR child the flattening may expand through.
+    [[nodiscard]] bool single_fanout(NodeId id) const { return fanout_[id] <= 1; }
+
+    MinDepthXorBuilder& builder() { return builder_; }
+
+    /// The new id of `src` node `id`, rebuilding its cone on first use.
+    NodeId operator()(NodeId id) {
+        if (memo_[id] != kInvalidNode) {
+            return memo_[id];
+        }
+        const Node& n = src_->node(id);
+        NodeId result = kInvalidNode;
+        switch (n.kind) {
+            case GateKind::Input:
+                result = memo_[id];
+                break;
+            case GateKind::Const0:
+                result = dst_->const0();
+                break;
+            case GateKind::And2:
+                result = dst_->make_and((*this)(n.a), (*this)(n.b));
+                break;
+            case GateKind::Xor2: {
+                const auto leaves = xor_leaves(
+                    *src_, id, [this](NodeId x) { return single_fanout(x); });
+                std::vector<NodeId> new_leaves;
+                new_leaves.reserve(leaves.size());
+                for (const NodeId leaf : leaves) {
+                    new_leaves.push_back((*this)(leaf));
+                }
+                result = builder_.build(new_leaves);
+                break;
+            }
+        }
+        memo_[id] = result;
+        return result;
+    }
+
+private:
+    const Netlist* src_;
+    Netlist* dst_;
+    std::vector<NodeId> memo_;
+    std::vector<int> fanout_;
+    MinDepthXorBuilder builder_;
+};
+
 /// Builds XOR trees that map *perfectly* onto K-input LUTs: leaves are
 /// greedily packed into chunks whose combined input support stays within 6
 /// wires (one LUT), then chunk roots are packed 6-at-a-time, 6-ary-Huffman
@@ -399,46 +458,9 @@ Netlist dce(const Netlist& nl) {
 
 Netlist balance_xor_trees(const Netlist& nl) {
     Netlist out;
-    auto memo = seed_inputs(nl, out);
-    const auto fanout = nl.fanout_counts();
-    MinDepthXorBuilder builder{out};
-
-    // Recursive rebuild; XOR roots are flattened through single-fanout XOR
-    // children and rebuilt depth-optimally over their (possibly deep) units.
-    auto rebuild = [&](auto&& self, NodeId id) -> NodeId {
-        if (memo[id] != kInvalidNode) {
-            return memo[id];
-        }
-        const Node& n = nl.node(id);
-        NodeId result = kInvalidNode;
-        switch (n.kind) {
-            case GateKind::Input:
-                result = memo[id];
-                break;
-            case GateKind::Const0:
-                result = out.const0();
-                break;
-            case GateKind::And2:
-                result = out.make_and(self(self, n.a), self(self, n.b));
-                break;
-            case GateKind::Xor2: {
-                const auto leaves = xor_leaves(
-                    nl, id, [&](NodeId x) { return fanout[x] <= 1; });
-                std::vector<NodeId> new_leaves;
-                new_leaves.reserve(leaves.size());
-                for (const NodeId leaf : leaves) {
-                    new_leaves.push_back(self(self, leaf));
-                }
-                result = builder.build(new_leaves);
-                break;
-            }
-        }
-        memo[id] = result;
-        return result;
-    };
-
+    BalancedRebuild rebuild{nl, out};
     for (const auto& port : nl.outputs()) {
-        out.add_output(port.name, rebuild(rebuild, port.node));
+        out.add_output(port.name, rebuild(port.node));
     }
     return out;
 }
@@ -532,62 +554,26 @@ Netlist group_common_cones(const Netlist& nl) {
     return out;
 }
 
-Netlist extract_common_xor_pairs(const Netlist& nl) { return extract_common_xor_pairs(nl, 2); }
-
 Netlist extract_common_xor_pairs(const Netlist& nl, int min_count) {
     Netlist out;
-    auto memo = seed_inputs(nl, out);
-    const auto fanout = nl.fanout_counts();
-    MinDepthXorBuilder builder{out};
+    BalancedRebuild rebuild{nl, out};
 
     // 1. Flatten every output into a list of leaves in the *new* netlist.
     //    Expansion stops at non-XOR nodes and at shared (multi-fanout) XOR
     //    subterms, which are rebuilt as units via balance-style recursion.
-    auto rebuild_leaf = [&](auto&& self, NodeId id) -> NodeId {
-        if (memo[id] != kInvalidNode) {
-            return memo[id];
-        }
-        const Node& n = nl.node(id);
-        NodeId result = kInvalidNode;
-        switch (n.kind) {
-            case GateKind::Input:
-                result = memo[id];
-                break;
-            case GateKind::Const0:
-                result = out.const0();
-                break;
-            case GateKind::And2:
-                result = out.make_and(self(self, n.a), self(self, n.b));
-                break;
-            case GateKind::Xor2: {
-                const auto leaves = xor_leaves(
-                    nl, id, [&](NodeId x) { return fanout[x] <= 1; });
-                std::vector<NodeId> new_leaves;
-                new_leaves.reserve(leaves.size());
-                for (const NodeId leaf : leaves) {
-                    new_leaves.push_back(self(self, leaf));
-                }
-                result = builder.build(new_leaves);
-                break;
-            }
-        }
-        memo[id] = result;
-        return result;
-    };
-
     std::vector<std::vector<NodeId>> lists;   // sorted leaf lists, new ids
     lists.reserve(nl.outputs().size());
     for (const auto& port : nl.outputs()) {
         const Node& n = nl.node(port.node);
         std::vector<NodeId> new_leaves;
         if (n.kind == GateKind::Xor2) {
-            const auto leaves =
-                xor_leaves(nl, port.node, [&](NodeId x) { return fanout[x] <= 1; });
+            const auto leaves = xor_leaves(
+                nl, port.node, [&](NodeId x) { return rebuild.single_fanout(x); });
             for (const NodeId leaf : leaves) {
-                new_leaves.push_back(rebuild_leaf(rebuild_leaf, leaf));
+                new_leaves.push_back(rebuild(leaf));
             }
         } else {
-            new_leaves.push_back(rebuild_leaf(rebuild_leaf, port.node));
+            new_leaves.push_back(rebuild(port.node));
         }
         std::sort(new_leaves.begin(), new_leaves.end());
         lists.push_back(std::move(new_leaves));
@@ -713,7 +699,7 @@ Netlist extract_common_xor_pairs(const Netlist& nl, int min_count) {
 
     // 3. Depth-aware rebuild of every output over its final leaf list.
     for (std::size_t oi = 0; oi < nl.outputs().size(); ++oi) {
-        out.add_output(nl.outputs()[oi].name, builder.build(lists[oi]));
+        out.add_output(nl.outputs()[oi].name, rebuild.builder().build(lists[oi]));
     }
     return out;
 }

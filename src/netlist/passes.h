@@ -62,13 +62,10 @@ Netlist group_common_cones(const Netlist& nl);
 /// Greedy common-pair extraction across output equations, followed by a
 /// balanced rebuild.  Leaves are the non-XOR nodes and the shared XOR
 /// subterms; only leaves appearing in at least two output equations are
-/// candidates for pairing.
-Netlist extract_common_xor_pairs(const Netlist& nl);
-
-/// As above with an explicit occurrence threshold: only pairs appearing in
-/// at least `min_count` output sums are extracted (higher thresholds share
-/// only strongly-reused pairs and fragment the netlist less).
-Netlist extract_common_xor_pairs(const Netlist& nl, int min_count);
+/// candidates for pairing, and only pairs appearing in at least `min_count`
+/// output sums are extracted (higher thresholds share only strongly-reused
+/// pairs and fragment the netlist less).
+Netlist extract_common_xor_pairs(const Netlist& nl, int min_count = 2);
 
 /// The "synthesis freedom" pipeline: optional ANF flattening, optional pair
 /// extraction, optional balancing, then DCE.

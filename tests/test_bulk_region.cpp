@@ -403,17 +403,37 @@ TEST(BulkRegion, MultiWordRegionOpsMatchElementArithmetic) {
     }
 }
 
-// --- Routed public APIs ------------------------------------------------------
+// --- Auto-dispatched u64 layout ----------------------------------------------
 
-TEST(BulkRegion, RoutedFieldOpsAndConstMultiplierMatchElementLoop) {
-    // The PR-1/PR-2 region APIs kept their signatures but now run through
-    // the dispatch; their results must stay exactly what an element loop
-    // produces, including at odd lengths and in place.
+TEST(BulkRegion, AutoEngineU64LayoutMatchesElementLoop) {
+    // The auto-selecting engine is the one region path: whatever kernel it
+    // picks for the u64 layout (the byte kernels over the zero-padded words
+    // for m <= 8, the wide kernel when the fold bound allows, else the
+    // window walk), its results must be exactly what an element loop over
+    // FieldOps::mul produces, at odd lengths and in place.
     Xorshift64Star rng{0xFEEDFACE0101ULL};
+    std::vector<Field> fields = byte_fields();
     testutil::for_each_table5_field([&](const field::FieldSpec& spec,
                                         const Field& f) {
-        if (spec.m > 64) {
-            return;
+        if (spec.m <= 64) {
+            fields.push_back(f);
+        }
+    });
+    const Dispatch& d = dispatch();
+    for (const Field& f : fields) {
+        const auto& ops = f.ops();
+        const RegionEngine eng{ops};
+        // The selection policy, pinned: byte kernels serve every m <= 8
+        // layout, the wide kernel only fields within kMaxWideFolds.
+        if (f.degree() <= 8) {
+            EXPECT_EQ(eng.byte_kernel_kind(), d.byte->kind) << f.to_string();
+            EXPECT_EQ(eng.word_kernel_kind(), KernelKind::Scalar);
+        } else {
+            const bool wide = d.word != nullptr &&
+                              ops.fold_bound() <= kMaxWideFolds;
+            EXPECT_EQ(eng.word_kernel_kind(),
+                      wide ? d.word->kind : KernelKind::Scalar)
+                << f.to_string();
         }
         for (const std::size_t n : {std::size_t{0}, std::size_t{1},
                                     std::size_t{3}, std::size_t{31},
@@ -428,28 +448,39 @@ TEST(BulkRegion, RoutedFieldOpsAndConstMultiplierMatchElementLoop) {
             const std::uint64_t c = testutil::random_word_element(f, rng);
 
             std::vector<std::uint64_t> out(n, 0);
-            f.ops().mul_region(a, b, out);
+            eng.mul_region_elementwise(a, b, out);
             for (std::size_t i = 0; i < n; ++i) {
-                ASSERT_EQ(out[i], f.ops().mul(a[i], b[i]))
-                    << spec.label() << " mul_region n=" << n;
+                ASSERT_EQ(out[i], ops.mul(a[i], b[i]))
+                    << f.to_string() << " mul_region_elementwise n=" << n;
             }
 
-            const field::ConstMultiplier cm{f.ops(), c};
+            const auto prep = eng.prepare(c);
             std::vector<std::uint64_t> r1(a);
-            cm.mul_region(r1);  // in place
+            eng.scale_region(prep, r1);  // in place
             std::vector<std::uint64_t> r2(n, 0);
-            cm.mul_region(a, r2);
-            std::vector<std::uint64_t> r3(a);
-            f.ops().mul_region_const(c, r3);
+            eng.mul_region(prep, a, r2);
             for (std::size_t i = 0; i < n; ++i) {
-                const std::uint64_t want = cm.mul(a[i]);
-                ASSERT_EQ(want, f.ops().mul(c, a[i]));
-                ASSERT_EQ(r1[i], want) << spec.label() << " in-place";
-                ASSERT_EQ(r2[i], want) << spec.label() << " out-of-place";
-                ASSERT_EQ(r3[i], want) << spec.label() << " mul_region_const";
+                const std::uint64_t want = ops.mul(c, a[i]);
+                ASSERT_EQ(r1[i], want) << f.to_string() << " in-place n=" << n;
+                ASSERT_EQ(r2[i], want)
+                    << f.to_string() << " out-of-place n=" << n;
             }
         }
-    });
+    }
+}
+
+TEST(BulkRegion, PreparedScaleRegionIsAllocationFree) {
+    // All per-constant state is built by prepare(); the region calls
+    // themselves must not touch the heap, on whichever kernel auto picks.
+    const Field f = Field::type2(64, 23);
+    const RegionEngine eng{f.ops()};
+    const auto prep = eng.prepare(std::uint64_t{0xDEADBEEF});
+    std::vector<std::uint64_t> data(1024, 0x123456789ABCDEFULL);
+    const testutil::AllocationGuard guard;
+    for (int pass = 0; pass < 16; ++pass) {
+        eng.scale_region(prep, data);
+    }
+    EXPECT_EQ(guard.delta(), 0) << "region scaling touched the heap";
 }
 
 TEST(BulkRegion, PreparedConstantEdgeCases) {
